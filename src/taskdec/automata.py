@@ -95,12 +95,17 @@ class Automaton:
     def targets(self, state: str, label: str) -> frozenset[str]:
         return self._delta.get((state, label), frozenset())
 
+    @cached_property
+    def _enabled(self) -> dict[str, frozenset[str]]:
+        table: dict[str, set[str]] = {}
+        for src, label in self._delta:
+            if label != EPSILON:
+                table.setdefault(src, set()).add(label)
+        return {q: frozenset(v) for q, v in table.items()}
+
     def enabled(self, state: str) -> frozenset[str]:
         """Events (not hidden moves) with at least one transition from state."""
-        return frozenset(
-            label for (src, label), _ in self._delta.items()
-            if src == state and label != EPSILON
-        )
+        return self._enabled.get(state, frozenset())
 
     def sort_key(self, state: str) -> int:
         return self._index[state]
@@ -128,12 +133,14 @@ def build_automaton(
 
 def accessible(a: Automaton) -> Automaton:
     """Restrict to states reachable from the initial states."""
+    successors: dict[str, list[str]] = {}
+    for src, _, dst in a.transitions:
+        successors.setdefault(src, []).append(dst)
     reached = set(a.initials)
     frontier = list(a.initials)
     while frontier:
-        q = frontier.pop()
-        for src, _, dst in a.transitions:
-            if src == q and dst not in reached:
+        for dst in successors.get(frontier.pop(), ()):
+            if dst not in reached:
                 reached.add(dst)
                 frontier.append(dst)
     if reached == set(a.states):

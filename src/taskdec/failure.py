@@ -16,6 +16,7 @@ from .automata import (
     Automaton,
     AutomatonError,
     DistributedAlphabet,
+    accessible,
     compose_all,
     run_from,
 )
@@ -189,20 +190,8 @@ def apply_failure(
     stopped = failed - passive_events
     if stopped:
         kept = frozenset(t for t in result.transitions if t[1] not in stopped)
-        result = Automaton(result.states, result.initials, result.alphabet, kept)
-        reached = set(result.initials)
-        frontier = list(result.initials)
-        while frontier:
-            q = frontier.pop()
-            for src, _, dst in result.transitions:
-                if src == q and dst not in reached:
-                    reached.add(dst)
-                    frontier.append(dst)
-        result = Automaton(
-            tuple(q for q in result.states if q in reached),
-            result.initials,
-            result.alphabet,
-            frozenset(t for t in result.transitions if t[0] in reached),
+        result = accessible(
+            Automaton(result.states, result.initials, result.alphabet, kept)
         )
     if passive_events:
         result = project_automaton(result, result.alphabet - passive_events)

@@ -77,30 +77,43 @@ def _greatest_simulation(a1: Automaton, a2: Automaton) -> frozenset[tuple[str, s
 
 
 def _greatest_bisimulation(a1: Automaton, a2: Automaton) -> frozenset[tuple[str, str]]:
-    rel = {(p, q) for p in a1.states for q in a2.states}
-    changed = True
-    while changed:
-        changed = False
-        for p, q in sorted(rel):
-            ok = True
-            for e in a1.enabled(p) | a2.enabled(q):
-                succs1 = a1.targets(p, e)
-                succs2 = a2.targets(q, e)
-                for p2 in succs1:
-                    if not any((p2, q2) in rel for q2 in succs2):
-                        ok = False
-                        break
-                if ok:
-                    for q2 in succs2:
-                        if not any((p2, q2) in rel for p2 in succs1):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                rel.discard((p, q))
-                changed = True
-    return frozenset(rel)
+    """Largest R such that for (p, q) in R every step of either is matched by the other into R.
+
+    Signature refinement on the disjoint union of the two automata
+    (Kanellakis & Smolka 1990): start from one block and re-split every
+    state by (its block, the set of (event, successor block)) until the
+    number of blocks stops growing.  The final partition is the coarsest
+    stable one, i.e. bisimilarity on the union, and its cross pairs are the
+    greatest bisimulation between a1 and a2.
+    """
+    n1 = len(a1.states)
+    successors: list[list[tuple[str, int]]] = [[] for _ in range(n1 + len(a2.states))]
+    for a, offset in ((a1, 0), (a2, n1)):
+        index = a._index
+        for (src, label), dsts in a._delta.items():
+            successors[offset + index[src]].extend(
+                (label, offset + index[dst]) for dst in dsts
+            )
+    block = [0] * len(successors)
+    count = 1
+    while True:
+        signatures: dict[tuple[int, frozenset[tuple[str, int]]], int] = {}
+        # The comprehension reads the previous round's blocks throughout.
+        block = [
+            signatures.setdefault(
+                (block[s], frozenset((e, block[t]) for e, t in out)), len(signatures)
+            )
+            for s, out in enumerate(successors)
+        ]
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+    right: dict[int, list[str]] = {}
+    for q, b in zip(a2.states, block[n1:]):
+        right.setdefault(b, []).append(q)
+    return frozenset(
+        (p, q) for p, b in zip(a1.states, block) for q in right.get(b, ())
+    )
 
 
 def find_missing_string(a1: Automaton, a2: Automaton) -> tuple[str, ...] | None:

@@ -1,6 +1,8 @@
 """End-to-end CLI behaviour: exit codes, JSON output, file round-trips."""
+import importlib.util
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -160,3 +162,24 @@ def test_fuzz_clean_and_disagreeing_runs(tmp_path, capsys, monkeypatch):
         "decomposability-seed10142.scn",
         "two-agent-restriction-seed10142.scn",
     ]
+
+
+def _load_digest_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "cli_digests.py"
+    spec = importlib.util.spec_from_file_location("cli_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_output_is_byte_stable_on_every_fixture():
+    # tests/cli_output_digests.json pins the text and --json output and the
+    # exit code of check-decomp, check-failure and verify on every bundled
+    # fixture.  An intended output change regenerates it with
+    # scripts/cli_digests.py.
+    script = _load_digest_script()
+    expected = json.loads(script.OUT.read_text())
+    actual = script.compute_digests()
+    assert sorted(actual) == sorted(expected)
+    changed = [argv for argv in sorted(expected) if actual[argv] != expected[argv]]
+    assert changed == []

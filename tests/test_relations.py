@@ -7,13 +7,24 @@ from hypothesis import strategies as st
 
 from taskdec.automata import (
     EPSILON,
+    Automaton,
     AutomatonError,
     bounded_language,
     build_automaton,
+    compose_all,
     determinize,
+)
+from taskdec.decomposability import (
+    check_dc1,
+    check_dc2,
+    check_dc3,
+    check_dc4,
+    is_decomposable,
+    local_views,
 )
 from taskdec.projection import project_automaton
 from taskdec.relations import (
+    _greatest_bisimulation,
     bisimilar,
     find_missing_string,
     language_included,
@@ -22,7 +33,7 @@ from taskdec.relations import (
     simulates,
     state_language_equal,
 )
-from taskdec.testkit import GenParams, gen_automaton
+from taskdec.testkit import GenParams, gen_automaton, gen_scenario
 
 
 def chain(*labels):
@@ -187,3 +198,110 @@ def test_every_automaton_is_bisimilar_to_its_determinization_in_language(seed):
     assert simulates(a, det).holds
     assert find_missing_string(a, det) is None
     assert find_missing_string(det, a) is None
+
+
+def reference_bisimulation(a1, a2):
+    """The greatest bisimulation by brute force: drop pairs until nothing changes."""
+
+    def moves(a, q):
+        return {label: dsts for (src, label), dsts in a._delta.items() if src == q}
+
+    def matched(rel, succs1, succs2):
+        return all(any((p2, q2) in rel for q2 in succs2) for p2 in succs1) and all(
+            any((p2, q2) in rel for p2 in succs1) for q2 in succs2
+        )
+
+    rel = {(p, q) for p in a1.states for q in a2.states}
+    changed = True
+    while changed:
+        changed = False
+        for p, q in sorted(rel):
+            m1, m2 = moves(a1, p), moves(a2, q)
+            if m1.keys() != m2.keys() or not all(
+                matched(rel, m1[e], m2[e]) for e in m1
+            ):
+                rel.discard((p, q))
+                changed = True
+    return frozenset(rel)
+
+
+@st.composite
+def raw_automata(draw, prefix, hidden=False):
+    """An untrimmed automaton: unreachable states and dead ends are kept."""
+    states = [f"{prefix}{i}" for i in range(draw(st.integers(1, 5)))]
+    alphabet = draw(st.sets(st.sampled_from("abc"), max_size=3))
+    labels = sorted(alphabet) + ([EPSILON] if hidden else [])
+    transitions = (
+        draw(st.sets(st.tuples(st.sampled_from(states), st.sampled_from(labels),
+                               st.sampled_from(states)), max_size=10))
+        if labels
+        else set()
+    )
+    initials = draw(st.sets(st.sampled_from(states), min_size=1, max_size=2))
+    return Automaton(tuple(states), frozenset(initials), frozenset(alphabet),
+                     frozenset(transitions))
+
+
+@st.composite
+def split_copies(draw, a):
+    """A bisimilar copy of ``a``: every state doubled, each edge aimed at either copy."""
+    copy = {q: (f"{q}'", f"{q}''") for q in a.states}
+    transitions = {
+        (copy[src][i], label, copy[dst][draw(st.integers(0, 1))])
+        for src, label, dst in a.transitions
+        for i in (0, 1)
+    }
+    initials = {copy[q][draw(st.integers(0, 1))] for q in a.initials}
+    states = tuple(name for q in a.states for name in copy[q])
+    return Automaton(states, frozenset(initials), a.alphabet, frozenset(transitions))
+
+
+@st.composite
+def automaton_pairs(draw):
+    a1 = draw(raw_automata("p"))
+    a2 = draw(split_copies(a1) if draw(st.booleans()) else raw_automata("q"))
+    return a1, a2
+
+
+@settings(max_examples=300, deadline=None)
+@given(automaton_pairs())
+def test_bisimilar_matches_the_brute_force_greatest_fixpoint(pair):
+    a1, a2 = pair
+    expected = reference_bisimulation(a1, a2)
+    assert _greatest_bisimulation(a1, a2) == expected
+    holds = all(any((p, q) in expected for q in a2.initials) for p in a1.initials) and all(
+        any((p, q) in expected for p in a1.initials) for q in a2.initials
+    )
+    v = bisimilar(a1, a2)
+    assert v.holds == holds
+    assert v.relation == (expected if holds else None)
+    if not holds:
+        assert v.witness is None or replay_witness(a1, a2, v.witness)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_automata("q", hidden=True))
+def test_enabled_index_matches_the_transition_scan(a):
+    for q in a.states:
+        assert a.enabled(q) == frozenset(
+            label for src, label, _ in a.transitions if src == q and label != EPSILON
+        )
+    assert a.enabled("no-such-state") == frozenset()
+
+
+def test_seed8_cyclic_three_agent_oracle():
+    # 27 task states, 3888 composed states: the case that took the pair sweep
+    # about 26 s.
+    sc = gen_scenario(GenParams(seed=8, max_states=30, max_events=8, agent_count=3,
+                                allow_cycles=True, max_branching=30))
+    task, d = sc.task_automaton, sc.d
+    composition = compose_all([view for _, view in local_views(task, d)])
+    assert (len(task.states), len(composition.states)) == (27, 3888)
+    v = bisimilar(composition, task)
+    assert not v.holds and v.relation is None
+    assert (v.witness.kind, v.witness.prefix, v.witness.event, v.witness.side) == (
+        "branch", ("a",), "a", "left")
+    assert replay_witness(composition, task, v.witness)
+    assert is_decomposable(task, d).holds is False
+    conditions = [check(task, d).holds for check in (check_dc1, check_dc2, check_dc3, check_dc4)]
+    assert all(conditions) is False
