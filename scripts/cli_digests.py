@@ -3,9 +3,14 @@
 For each of ``check-decomp``, ``check-failure`` and ``verify`` and each
 bundled fixture, the text and the ``--json`` output are run through
 ``taskdec.cli.main``; the digest of stdout, the digest of stderr and the exit
-code are written to ``tests/cli_output_digests.json``.  ``tests/test_cli.py``
-compares the current output against that file, so any change to a report's
-bytes shows up as a test failure.
+code are written to ``tests/cli_output_digests.json``.  The same file also
+pins the reports on seeded generated draws (2 and 3 agents, acyclic and
+cyclic, at most 8 states, passive and non-passive failures): the digest of
+the JSON form of ``decomposability_report``, ``remains_decomposable``,
+``verify_team_under_failure`` (universal-loop plants, the views as
+controllers) and, with two agents, ``two_agent_analysis``.
+``tests/test_cli.py`` compares the current output against that file, so any
+change to a report's bytes shows up as a test failure.
 
 Run from the repository root after an intended output change:
 
@@ -17,14 +22,22 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 from pathlib import Path
 
 from taskdec import cli
+from taskdec.decomposability import decomposability_report
+from taskdec.failure import remains_decomposable, two_agent_analysis
 from taskdec.fixtures import fixture_names
+from taskdec.projection import project_automaton
+from taskdec.testkit import GenParams, gen_failures, gen_scenario, universal_loop
+from taskdec.topdown import TeamDesign, verify_team_under_failure
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "cli_output_digests.json"
 
 COMMANDS = ("check-decomp", "check-failure", "verify")
+
+DRAW_SEEDS = range(20)
 
 
 def _sha256(text: str) -> str:
@@ -46,6 +59,51 @@ def compute_digests() -> dict[str, dict]:
             for extra in ([], ["--json"]):
                 argv = [command, f"{name}.scn", *extra]
                 digests[" ".join(argv)] = run_cli(argv)
+    digests.update(draw_digests())
+    return digests
+
+
+def _report_digest(report) -> str:
+    return _sha256(json.dumps(cli.to_jsonable(report), sort_keys=True))
+
+
+def draw_digests() -> dict[str, str]:
+    """Report digests on seeded draws, keyed like ``"draw 2/cyclic/7 two_agent_analysis"``.
+
+    Even seeds fail only passive events, odd seeds any events.
+    """
+    digests = {}
+    for agents in (2, 3):
+        for cyclic in (False, True):
+            for seed in DRAW_SEEDS:
+                params = GenParams(
+                    seed=seed,
+                    max_states=8,
+                    max_events=5,
+                    agent_count=agents,
+                    allow_cycles=cyclic,
+                )
+                sc = gen_scenario(params)
+                task, d = sc.task_automaton, sc.d
+                rng = random.Random(f"digest-failures:{seed}")
+                f = gen_failures(rng, d, only_passive=seed % 2 == 0)
+                design = TeamDesign(
+                    task,
+                    d,
+                    tuple((a, universal_loop(d.local(a))) for a in d.agents),
+                    tuple((a, project_automaton(task, d.local(a))) for a in d.agents),
+                    f,
+                )
+                reports = {
+                    "decomposability_report": decomposability_report(task, d),
+                    "remains_decomposable": remains_decomposable(task, d, f),
+                    "verify_team_under_failure": verify_team_under_failure(design),
+                }
+                if agents == 2:
+                    reports["two_agent_analysis"] = two_agent_analysis(task, d, f)
+                tag = f"draw {agents}/{'cyclic' if cyclic else 'acyclic'}/{seed}"
+                for name, report in reports.items():
+                    digests[f"{tag} {name}"] = _report_digest(report)
     return digests
 
 

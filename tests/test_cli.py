@@ -175,7 +175,8 @@ def _load_digest_script():
 def test_report_output_is_byte_stable_on_every_fixture():
     # tests/cli_output_digests.json pins the text and --json output and the
     # exit code of check-decomp, check-failure and verify on every bundled
-    # fixture.  An intended output change regenerates it with
+    # fixture, and the JSON form of the four report functions on seeded
+    # draws.  An intended output change regenerates it with
     # scripts/cli_digests.py.
     script = _load_digest_script()
     expected = json.loads(script.OUT.read_text())
