@@ -12,7 +12,7 @@ so the conjunction agrees with the oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .automata import (
@@ -126,6 +126,81 @@ def local_views(
     )
 
 
+def _pair_findings(
+    a_s: Automaton, pairs: Sequence[tuple[str, str]]
+) -> tuple[list[ConditionWitness], list[ConditionWitness]]:
+    """The switch and order requirements over an explicit list of event pairs.
+
+    Switch: where both events are enabled, both orders must run.  Order:
+    where either order runs, both must, and they must reach states with the
+    same future.  Returns the switch and the order witnesses, state-major and
+    in ``pairs`` order.  DC1/DC2, EF1/EF2 and every two-agent pair space are
+    this one requirement over different pairs.
+    """
+    switch: list[ConditionWitness] = []
+    order: list[ConditionWitness] = []
+    for q in a_s.states:
+        enabled = a_s.enabled(q)
+        for e1, e2 in pairs:
+            r12 = run_from(a_s, [q], (e1, e2))
+            r21 = run_from(a_s, [q], (e2, e1))
+            if e1 in enabled and e2 in enabled and not (r12 and r21):
+                switch.append(ConditionWitness(kind="selection", state=q, events=(e1, e2)))
+            if not r12 and not r21:
+                continue
+            if bool(r12) != bool(r21):
+                order.append(ConditionWitness(kind="order", state=q, events=(e1, e2)))
+                continue
+            verdict = state_language_equal(a_s, next(iter(r12)), next(iter(r21)))
+            if not verdict.holds:
+                order.append(
+                    ConditionWitness(
+                        kind="order",
+                        state=q,
+                        events=(e1, e2),
+                        string=verdict.witness.string,
+                    )
+                )
+    return switch, order
+
+
+def _pair_reports(
+    a_s: Automaton, pairs: Sequence[tuple[str, str]], names: tuple[str, str]
+) -> tuple[ConditionReport, ConditionReport]:
+    """The switch and order findings over ``pairs`` as two named reports."""
+    return tuple(
+        ConditionReport(name, not found, tuple(found))
+        for name, found in zip(names, _pair_findings(a_s, pairs))
+    )
+
+
+def _with_note(w: ConditionWitness) -> ConditionWitness:
+    if w.kind == "selection":
+        note = "no agent sees both events and the orders are not interchangeable"
+    elif w.string:
+        note = "the two orders allow different continuations"
+    else:
+        note = "only one order of the two events can run"
+    return replace(w, note=note)
+
+
+def _check_dc12(
+    a_s: Automaton,
+    sets: Sequence[tuple[str, frozenset[str]]],
+    names: tuple[str, str] = ("DC1", "DC2"),
+) -> tuple[ConditionReport, ConditionReport]:
+    """DC1 and DC2 from one pass over the event pairs no agent sees together."""
+    pairs = [
+        (e1, e2)
+        for e1, e2 in itertools.combinations(sorted(a_s.alphabet), 2)
+        if not _colocated(e1, e2, sets)
+    ]
+    return tuple(
+        ConditionReport(name, not found, tuple(_with_note(w) for w in found))
+        for name, found in zip(names, _pair_findings(a_s, pairs))
+    )
+
+
 def check_dc1(
     a_s: Automaton,
     d: DistributedAlphabet,
@@ -137,27 +212,7 @@ def check_dc1(
     orders have to be possible.
     """
     _require_task(a_s)
-    pairs = _sets_in_order(d, sets)
-    witnesses = []
-    for q in a_s.states:
-        for e1, e2 in itertools.combinations(sorted(a_s.enabled(q)), 2):
-            if _colocated(e1, e2, pairs):
-                continue
-            both = defined_from(a_s, q, (e1, e2)) and defined_from(a_s, q, (e2, e1))
-            if not both:
-                witnesses.append(
-                    ConditionWitness(
-                        kind="selection",
-                        state=q,
-                        events=(e1, e2),
-                        note="no agent sees both events and the orders are not interchangeable",
-                    )
-                )
-    return ConditionReport("DC1", not witnesses, tuple(witnesses))
-
-
-def defined_from(a: Automaton, state: str, string: Sequence[str]) -> bool:
-    return bool(run_from(a, [state], string))
+    return _check_dc12(a_s, _sets_in_order(d, sets))[0]
 
 
 def check_dc2(
@@ -171,41 +226,7 @@ def check_dc2(
     too, and the two orders must allow exactly the same continuations.
     """
     _require_task(a_s)
-    pairs = _sets_in_order(d, sets)
-    events = sorted(a_s.alphabet)
-    witnesses = []
-    for q in a_s.states:
-        for e1, e2 in itertools.combinations(events, 2):
-            if _colocated(e1, e2, pairs):
-                continue
-            r12 = run_from(a_s, [q], (e1, e2))
-            r21 = run_from(a_s, [q], (e2, e1))
-            if not r12 and not r21:
-                continue
-            if bool(r12) != bool(r21):
-                witnesses.append(
-                    ConditionWitness(
-                        kind="order",
-                        state=q,
-                        events=(e1, e2),
-                        note="only one order of the two events can run",
-                    )
-                )
-                continue
-            (q12,) = r12
-            (q21,) = r21
-            verdict = state_language_equal(a_s, q12, q21)
-            if not verdict.holds:
-                witnesses.append(
-                    ConditionWitness(
-                        kind="order",
-                        state=q,
-                        events=(e1, e2),
-                        string=verdict.witness.string,
-                        note="the two orders allow different continuations",
-                    )
-                )
-    return ConditionReport("DC2", not witnesses, tuple(witnesses))
+    return _check_dc12(a_s, _sets_in_order(d, sets))[1]
 
 
 def _illegal_strings(
@@ -255,8 +276,18 @@ def check_dc3(
     """
     _require_task(a_s)
     pairs = _sets_in_order(d, sets)
-    views = [(agent, project_automaton(a_s, events)) for agent, events in pairs]
-    composition = compose_all([v for _, v in views])
+    composition = compose_all([project_automaton(a_s, events) for _, events in pairs])
+    return _check_dc3(a_s, pairs, composition, mode, depth)
+
+
+def _check_dc3(
+    a_s: Automaton,
+    pairs: Sequence[tuple[str, frozenset[str]]],
+    composition: Automaton,
+    mode: str,
+    depth: int | None,
+) -> ConditionReport:
+    """DC3 over the given event sets; ``composition`` composes their views."""
     if mode == "exact":
         inclusion = language_included(composition, a_s)
         if inclusion.holds:
@@ -448,71 +479,6 @@ def is_decomposable(
     return bisimilar(compose_all([v for _, v in views]), a_s)
 
 
-def _bounded_from(a: Automaton, state: str, depth: int) -> list[tuple[str, ...]]:
-    out = [()]
-    frontier = [((), frozenset([state]))]
-    while frontier:
-        string, states = frontier.pop()
-        if len(string) == depth:
-            continue
-        for e in sorted(a.alphabet):
-            nxt = frozenset(t for q in states for t in a.targets(q, e))
-            if nxt:
-                out.append(string + (e,))
-                frontier.append((string + (e,), nxt))
-    return sorted(set(out))
-
-
-def _check_dc1_private(
-    a_s: Automaton, d: DistributedAlphabet
-) -> ConditionReport:
-    e1_only = d.local(d.agents[0]) - d.local(d.agents[1])
-    e2_only = d.local(d.agents[1]) - d.local(d.agents[0])
-    witnesses = []
-    for q in a_s.states:
-        enabled = a_s.enabled(q)
-        for e1 in sorted(enabled & e1_only):
-            for e2 in sorted(enabled & e2_only):
-                if not (
-                    defined_from(a_s, q, (e1, e2)) and defined_from(a_s, q, (e2, e1))
-                ):
-                    witnesses.append(
-                        ConditionWitness(kind="selection", state=q, events=(e1, e2))
-                    )
-    return ConditionReport("DC1-private-pairs", not witnesses, tuple(witnesses))
-
-
-def _check_dc2_private(
-    a_s: Automaton, d: DistributedAlphabet
-) -> ConditionReport:
-    e1_only = sorted(d.local(d.agents[0]) - d.local(d.agents[1]))
-    e2_only = sorted(d.local(d.agents[1]) - d.local(d.agents[0]))
-    witnesses = []
-    for q in a_s.states:
-        for e1 in e1_only:
-            for e2 in e2_only:
-                r12 = run_from(a_s, [q], (e1, e2))
-                r21 = run_from(a_s, [q], (e2, e1))
-                if not r12 and not r21:
-                    continue
-                if bool(r12) != bool(r21):
-                    witnesses.append(
-                        ConditionWitness(kind="order", state=q, events=(e1, e2))
-                    )
-                    continue
-                verdict = state_language_equal(a_s, next(iter(r12)), next(iter(r21)))
-                if not verdict.holds:
-                    witnesses.append(
-                        ConditionWitness(
-                            kind="order",
-                            state=q,
-                            events=(e1, e2),
-                            string=verdict.witness.string,
-                        )
-                    )
-    return ConditionReport("DC2-private-pairs", not witnesses, tuple(witnesses))
-
-
 def _check_dc3_pairwise(
     a_s: Automaton, d: DistributedAlphabet, depth: int
 ) -> ConditionReport:
@@ -523,10 +489,9 @@ def _check_dc3_pairwise(
     sets = {first: d.local(first), second: d.local(second)}
     witnesses = []
     for q in a_s.states:
+        rooted = replace(a_s, initials=frozenset([q]))
         strings = [
-            s
-            for s in _bounded_from(a_s, q, depth)
-            if project_string(s, shared)
+            s for s in sorted(bounded_language(rooted, depth)) if project_string(s, shared)
         ]
         for s1, s2 in itertools.permutations(strings, 2):
             if project_string(s1, shared)[0] != project_string(s2, shared)[0]:
@@ -539,7 +504,7 @@ def _check_dc3_pairwise(
                 locals_, sets, len(s1) + len(s2)
             )
             for member in sorted(members):
-                if not defined_from(a_s, q, member):
+                if not run_from(a_s, [q], member):
                     witnesses.append(
                         ConditionWitness(
                             kind="illegal-interleaving",
@@ -575,21 +540,23 @@ def decomposability_report(
         raise AutomatonError(
             f"task events not owned by any agent: {sorted(missing)}"
         )
-    dc3_depth = depth
+    sets = _sets_in_order(d, None)
+    views = local_views(a_s, d)
+    composition = compose_all([v for _, v in views])
     conditions = (
-        check_dc1(a_s, d),
-        check_dc2(a_s, d),
-        check_dc3(a_s, d, mode=mode, depth=dc3_depth),
+        *_check_dc12(a_s, sets),
+        _check_dc3(a_s, sets, composition, mode, depth),
         check_dc4(a_s, d),
     )
     conjunction = all(c.holds for c in conditions)
-    views = local_views(a_s, d)
-    composition = compose_all([v for _, v in views])
     oracle = bisimilar(composition, a_s)
     two_agent = None
     if len(d.agents) == 2:
-        dc1p = _check_dc1_private(a_s, d)
-        dc2p = _check_dc2_private(a_s, d)
+        first, second = (events for _, events in sets)
+        private = [(e1, e2) for e1 in sorted(first - second) for e2 in sorted(second - first)]
+        dc1p, dc2p = _pair_reports(
+            a_s, private, ("DC1-private-pairs", "DC2-private-pairs")
+        )
         dc3p = _check_dc3_pairwise(a_s, d, depth=min(4, MAX_DEPTH))
         restricted = (
             dc1p.holds and dc2p.holds and conditions[2].holds and conditions[3].holds
@@ -626,28 +593,27 @@ def replay_condition_witness(
             {e1, e2} <= a_s.enabled(w.state)
             and not _colocated(e1, e2, pairs)
             and not (
-                defined_from(a_s, w.state, (e1, e2))
-                and defined_from(a_s, w.state, (e2, e1))
+                run_from(a_s, [w.state], (e1, e2)) and run_from(a_s, [w.state], (e2, e1))
             )
         )
     if w.kind == "order":
         e1, e2 = w.events
-        one = defined_from(a_s, w.state, (e1, e2) + w.string)
-        other = defined_from(a_s, w.state, (e2, e1) + w.string)
+        one = bool(run_from(a_s, [w.state], (e1, e2) + w.string))
+        other = bool(run_from(a_s, [w.state], (e2, e1) + w.string))
         return one != other
     if w.kind in ("illegal-string", "illegal-interleaving"):
         if w.state is not None:
             # Pairwise witnesses quantify from an arbitrary task state: both
             # source strings must run there while the woven member must not.
             sets_map = dict(pairs)
-            runnable = all(defined_from(a_s, w.state, s) for s in w.sources)
+            runnable = all(run_from(a_s, [w.state], s) for s in w.sources)
             woven = sync_product_contains(
                 {a: project_string(w.sources[i], sets_map[a])
                  for i, a in enumerate(list(sets_map))},
                 sets_map,
                 w.string,
             ) if len(w.sources) == len(sets_map) else True
-            return runnable and woven and not defined_from(a_s, w.state, w.string)
+            return runnable and woven and not run_from(a_s, [w.state], w.string)
         views = local_views(a_s, d, sets)
         composition = compose_all([v for _, v in views])
         return defined(composition, w.string) and not defined(a_s, w.string)

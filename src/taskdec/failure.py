@@ -18,20 +18,23 @@ from .automata import (
     DistributedAlphabet,
     accessible,
     compose_all,
-    run_from,
 )
 from .decomposability import (
     ConditionReport,
     ConditionWitness,
+    _check_dc3,
+    _check_dc12,
+    _pair_reports,
+    _require_task,
     branch_refuses,
     check_dc1,
     check_dc2,
     check_dc3,
     check_dc4,
-    is_decomposable,
+    local_views,
 )
 from .projection import _project_with_classes, project_automaton
-from .relations import RelationVerdict, bisimilar, state_language_equal
+from .relations import RelationVerdict, bisimilar
 
 PASSIVE = "passive"
 NOT_RECEIVED = "not-received"
@@ -162,10 +165,11 @@ def refined_alphabets(
     d: DistributedAlphabet, f: FailureSpec
 ) -> dict[str, frozenset[str]]:
     """Per-agent event sets after failure: passive losses leave, the rest stay."""
-    pv = passivity(d, f)
-    return {
-        agent: d.local(agent) - pv.passive_for(agent) for agent in d.agents
-    }
+    return _refined(d, passivity(d, f))
+
+
+def _refined(d: DistributedAlphabet, pv: PassivityVerdict) -> dict[str, frozenset[str]]:
+    return {agent: d.local(agent) - pv.passive_for(agent) for agent in d.agents}
 
 
 def apply_failure(
@@ -198,18 +202,25 @@ def apply_failure(
     return result
 
 
-def failed_local_views(
-    a_s: Automaton, d: DistributedAlphabet, f: FailureSpec
+def _failed_views(
+    views: Sequence[tuple[str, Automaton]], f: FailureSpec, pv: PassivityVerdict
 ) -> tuple[tuple[str, Automaton], ...]:
-    """Each agent's post-failure view of the task, in agent order."""
-    pv = passivity(d, f)
-    out = []
-    for agent in d.agents:
-        view = project_automaton(a_s, d.local(agent))
-        out.append(
-            (agent, apply_failure(view, f.for_agent(agent), pv.passive_for(agent)))
-        )
-    return tuple(out)
+    """The given (agent, view) pairs after failure, in the same order."""
+    return tuple(
+        (agent, apply_failure(view, f.for_agent(agent), pv.passive_for(agent)))
+        for agent, view in views
+    )
+
+
+def _pre_and_post(
+    a_s: Automaton, d: DistributedAlphabet, f: FailureSpec, pv: PassivityVerdict
+) -> tuple[RelationVerdict, tuple[tuple[str, Automaton], ...], Automaton]:
+    """Project each view once: the pre-failure verdict, the failed views and
+    their composition."""
+    views = local_views(a_s, d)
+    pre = bisimilar(compose_all([v for _, v in views]), a_s)
+    failed = _failed_views(views, f, pv)
+    return pre, failed, compose_all([v for _, v in failed])
 
 
 def _ef4_literal(
@@ -345,7 +356,7 @@ def check_ef(
     if not pv.all_passive:
         bad = ", ".join(f"{e.event} in agent {e.agent} ({e.reason})" for e in pv.non_passive)
         raise NonPassiveFailure(f"non-passive failure present: {bad}")
-    sigma = refined_alphabets(d, f)
+    sigma = _refined(d, pv)
     if which == "EF1":
         return replace(check_dc1(a_s, d, sigma), condition="EF1")
     if which == "EF2":
@@ -355,21 +366,30 @@ def check_ef(
             check_dc3(a_s, d, sigma, mode=mode, depth=depth), condition="EF3"
         )
     if which == "EF4":
-        canonical = check_dc4(a_s, d, sigma)
-        literal = _ef4_literal(a_s, d, f, sigma)
-        agree = canonical.holds == literal.holds
-        notes = (
-            f"refined-set reading: {'holds' if canonical.holds else 'violated'}",
-            f"literal reading: {'holds' if literal.holds else 'violated'}",
-            "dual readings agree" if agree else "dual readings disagree",
-        )
-        return ConditionReport(
-            "EF4",
-            canonical.holds,
-            canonical.witnesses + literal.witnesses,
-            notes=notes,
-        )
+        return _check_ef4(a_s, d, f, sigma)
     raise AutomatonError(f"unknown condition {which!r}")
+
+
+def _check_ef4(
+    a_s: Automaton,
+    d: DistributedAlphabet,
+    f: FailureSpec,
+    sigma: Mapping[str, frozenset[str]],
+) -> ConditionReport:
+    canonical = check_dc4(a_s, d, sigma)
+    literal = _ef4_literal(a_s, d, f, sigma)
+    agree = canonical.holds == literal.holds
+    notes = (
+        f"refined-set reading: {'holds' if canonical.holds else 'violated'}",
+        f"literal reading: {'holds' if literal.holds else 'violated'}",
+        "dual readings agree" if agree else "dual readings disagree",
+    )
+    return ConditionReport(
+        "EF4",
+        canonical.holds,
+        canonical.witnesses + literal.witnesses,
+        notes=notes,
+    )
 
 
 def ef_dual_agreement(report: ConditionReport) -> bool:
@@ -404,11 +424,15 @@ def remains_decomposable(
     The pipeline classifies passivity, evaluates the four post-failure
     conditions when every failure is passive, and always closes with the
     oracle: composing the failed local views and comparing against the task.
+    With passive failures each failed view is, up to state names, the task
+    projected onto the agent's refined set, so exact EF3 reads the oracle's
+    composition.
     """
-    pre = is_decomposable(a_s, d)
+    _require_task(a_s)
     pv = passivity(d, f)
-    sigma_map = refined_alphabets(d, f)
+    sigma_map = _refined(d, pv)
     sigma = tuple((agent, sigma_map[agent]) for agent in d.agents)
+    pre, failed_locals, composition = _pre_and_post(a_s, d, f, pv)
     notes: list[str] = []
     if not pre.holds:
         notes.append("the task does not decompose even before failures")
@@ -419,15 +443,14 @@ def remains_decomposable(
     conditions: tuple[ConditionReport, ...] = ()
     conjunction: bool | None = None
     if pv.all_passive:
-        conditions = tuple(
-            check_ef(a_s, d, f, which, mode=mode, depth=depth)
-            for which in ("EF1", "EF2", "EF3", "EF4")
+        conditions = (
+            *_check_dc12(a_s, sigma, ("EF1", "EF2")),
+            replace(_check_dc3(a_s, sigma, composition, mode, depth), condition="EF3"),
+            _check_ef4(a_s, d, f, sigma_map),
         )
         conjunction = all(c.holds for c in conditions)
     else:
         notes.append("condition checks skipped: they require passive failures")
-    failed_locals = failed_local_views(a_s, d, f)
-    composition = compose_all([v for _, v in failed_locals])
     oracle = bisimilar(composition, a_s)
     remains = oracle.holds
     predicted = conjunction if pv.all_passive else None
@@ -450,44 +473,6 @@ def remains_decomposable(
         predicted=predicted,
         consistent=consistent,
         notes=tuple(notes),
-    )
-
-
-def _switch_order_over_pairs(
-    a_s: Automaton, pairs: Sequence[tuple[str, str]], tag: str
-) -> tuple[ConditionReport, ConditionReport]:
-    """Raw switch and order requirements over an explicit list of event pairs."""
-    switch_witnesses = []
-    order_witnesses = []
-    for q in a_s.states:
-        enabled = a_s.enabled(q)
-        for e1, e2 in pairs:
-            r12 = run_from(a_s, [q], (e1, e2))
-            r21 = run_from(a_s, [q], (e2, e1))
-            if e1 in enabled and e2 in enabled and not (r12 and r21):
-                switch_witnesses.append(
-                    ConditionWitness(kind="selection", state=q, events=(e1, e2))
-                )
-            if not r12 and not r21:
-                continue
-            if bool(r12) != bool(r21):
-                order_witnesses.append(
-                    ConditionWitness(kind="order", state=q, events=(e1, e2))
-                )
-                continue
-            verdict = state_language_equal(a_s, next(iter(r12)), next(iter(r21)))
-            if not verdict.holds:
-                order_witnesses.append(
-                    ConditionWitness(
-                        kind="order",
-                        state=q,
-                        events=(e1, e2),
-                        string=verdict.witness.string,
-                    )
-                )
-    return (
-        ConditionReport(f"switch[{tag}]", not switch_witnesses, tuple(switch_witnesses)),
-        ConditionReport(f"order[{tag}]", not order_witnesses, tuple(order_witnesses)),
     )
 
 
@@ -549,9 +534,10 @@ def two_agent_analysis(
     one, two = d.agents
     e1_set, e2_set = d.local(one), d.local(two)
     f1, f2 = f.for_agent(one), f.for_agent(two)
-    pre = is_decomposable(a_s, d)
+    _require_task(a_s)
     pv = passivity(d, f)
-    sigma = refined_alphabets(d, f)
+    sigma = _refined(d, pv)
+    pre, _, composition = _pre_and_post(a_s, d, f, pv)
     notes: list[str] = []
     identities = None
     pair_spaces = None
@@ -577,7 +563,7 @@ def two_agent_analysis(
         quadrants = []
         for name, left, right in quadrant_pairs:
             pairs = [(a, b) for a in left for b in right if a != b]
-            switch, order = _switch_order_over_pairs(a_s, pairs, name)
+            switch, order = _pair_reports(a_s, pairs, (f"switch[{name}]", f"order[{name}]"))
             quadrants.append(QuadrantReport(name, switch, order))
         sigma_pairs = [
             (a, b)
@@ -585,8 +571,8 @@ def two_agent_analysis(
             for b in sorted(sigma[two] - sigma[one])
             if a != b
         ]
-        sigma_switch, sigma_order = _switch_order_over_pairs(
-            a_s, sigma_pairs, "refined"
+        sigma_switch, sigma_order = _pair_reports(
+            a_s, sigma_pairs, ("switch[refined]", "order[refined]")
         )
         quadrant_conj = all(q.switch.holds and q.order.holds for q in quadrants)
         pair_spaces = PairSpaceReport(
@@ -597,8 +583,6 @@ def two_agent_analysis(
         )
     else:
         notes.append("identity and pair-space sections need passive failures")
-    failed_locals = failed_local_views(a_s, d, f)
-    composition = compose_all([v for _, v in failed_locals])
     oracle = bisimilar(composition, a_s)
     whole_agent = []
     for agent, full, lost in ((one, e1_set, f1), (two, e2_set, f2)):

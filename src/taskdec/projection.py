@@ -67,7 +67,6 @@ def enumerate_sync_product(
     union = sorted(frozenset().union(*sets.values())) if sets else []
     strings: set[tuple[str, ...]] = set()
     start = tuple(0 for _ in agents)
-    seen: set[tuple[tuple[int, ...], int]] = set()
 
     def walk(positions: tuple[int, ...], prefix: tuple[str, ...]) -> None:
         if all(
@@ -91,8 +90,6 @@ def enumerate_sync_product(
             if ok:
                 walk(tuple(nxt), prefix + (e,))
 
-    key = (start, 0)
-    seen.add(key)
     walk(start, ())
     return frozenset(strings)
 

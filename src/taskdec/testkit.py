@@ -15,7 +15,6 @@ from .automata import (
     MAX_DEPTH,
     Automaton,
     DistributedAlphabet,
-    bounded_language,  # noqa: F401  (re-exported: the bounded oracle lives here too)
     build_automaton,
     run_from,
 )

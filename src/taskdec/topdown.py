@@ -20,8 +20,8 @@ from .automata import (
 from .failure import (
     FailureSpec,
     PassivityVerdict,
+    _failed_views,
     apply_failure,
-    failed_local_views,
     passivity,
 )
 from .projection import project_automaton
@@ -111,18 +111,19 @@ def verify_team_under_failure(design: TeamDesign) -> TeamFailureReport:
     two jointly imply the last, and the report flags any run where they do
     not line up.
     """
-    d, f = design.d, design.failures
-    locals_ = tuple(
-        (agent, verify_local(design, agent)) for agent in design.agents
+    d, f, task = design.d, design.failures, design.task
+    loops = {agent: closed_loop(design, agent) for agent in design.agents}
+    views = tuple(
+        (agent, project_automaton(task, d.local(agent))) for agent in design.agents
     )
-    team = verify_team(design)
+    locals_ = tuple((agent, bisimilar(loops[agent], view)) for agent, view in views)
+    team = bisimilar(compose_all(list(loops.values())), task)
     pv = passivity(d, f)
     notes: list[str] = []
-    failed_views = dict(failed_local_views(design.task, d, f))
+    failed_views = dict(_failed_views(views, f, pv))
     loop_links = []
     failed_loops = []
-    for agent in design.agents:
-        loop = closed_loop(design, agent)
+    for agent, loop in loops.items():
         lost = f.for_agent(agent)
         outside = lost - loop.alphabet
         if outside:
@@ -134,10 +135,8 @@ def verify_team_under_failure(design: TeamDesign) -> TeamFailureReport:
         )
         failed_loops.append(failed_loop)
         loop_links.append((agent, bisimilar(failed_loop, failed_views[agent])))
-    views_link = bisimilar(
-        compose_all([failed_views[agent] for agent in design.agents]), design.task
-    )
-    final = bisimilar(compose_all(failed_loops), design.task)
+    views_link = bisimilar(compose_all(list(failed_views.values())), task)
+    final = bisimilar(compose_all(failed_loops), task)
     chain = all(v.holds for _, v in loop_links) and views_link.holds
     consistent = final.holds or not chain
     if not consistent:

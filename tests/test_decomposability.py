@@ -300,6 +300,7 @@ def test_single_agent_always_decomposes():
 def test_conditions_are_sound_and_disagreement_is_surfaced(seed):
     # DC1 and DC2 are necessary and DC3 with DC4 decide the oracle, so the
     # conjunction and the oracle agree on every draw, and `consistent` says so.
+    # With two agents the private-pair forms of DC1/DC2 agree with the full ones.
     rng = random.Random(f"dc:{seed}")
     p = GenParams(max_states=5, max_events=4, agent_count=2)
     task = gen_automaton(rng, p)
@@ -307,6 +308,9 @@ def test_conditions_are_sound_and_disagreement_is_surfaced(seed):
     report = decomposability_report(task, d)
     assert report.conjunction == report.oracle.holds
     assert report.consistent
+    dc1, dc2 = report.conditions[:2]
+    assert report.two_agent.dc1_private_pairs.holds == dc1.holds
+    assert report.two_agent.dc2_private_pairs.holds == dc2.holds
 
 
 @settings(max_examples=25, deadline=None)

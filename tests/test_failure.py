@@ -1,5 +1,6 @@
 """Passivity, post-failure views, the EF conditions, and their oracle."""
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 
 from taskdec.automata import (
     AutomatonError,
+    bounded_language,
     build_alphabet,
     build_automaton,
     run,
 )
-from taskdec.decomposability import replay_condition_witness
+from taskdec import decomposability, failure, topdown
+from taskdec.decomposability import decomposability_report, replay_condition_witness
 from taskdec.failure import (
     FailureSpec,
     NonPassiveFailure,
@@ -26,9 +29,9 @@ from taskdec.failure import (
     two_agent_analysis,
 )
 from taskdec.relations import replay_witness
+from taskdec.topdown import verify_team_under_failure
 from taskdec.testkit import (
     GenParams,
-    bounded_language,
     direct_ef12,
     gen_alphabet,
     gen_automaton,
@@ -367,3 +370,29 @@ def test_generated_passive_failures_are_passive(seed):
     for agent, events in f.failed:
         for event in events:
             assert (agent, event) in candidates
+
+
+def test_each_report_classifies_composes_and_builds_loops_once(scn, monkeypatch):
+    # A report computes passivity, the composition and each closed loop once
+    # and hands them to its helpers.
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(failure, "passivity")
+    count(decomposability, "compose_all")
+    count(topdown, "closed_loop")
+    sc = scn("ex6")
+    assert remains_decomposable(sc.task_automaton, sc.d, sc.failures).passivity.all_passive
+    assert calls["passivity"] == 1
+    decomposability_report(sc.task_automaton, sc.d)
+    assert calls["compose_all"] == 1
+    verify_team_under_failure(sc.team_design())
+    assert calls["closed_loop"] == len(sc.d.agents)
