@@ -1,9 +1,11 @@
 """Record SHA-256 digests of the CLI's report output on every bundled fixture.
 
-For each of ``check-decomp``, ``check-failure`` and ``verify`` and each
-bundled fixture, the text and the ``--json`` output are run through
-``taskdec.cli.main``; the digest of stdout, the digest of stderr and the exit
-code are written to ``tests/cli_output_digests.json``.  The same file also
+For each of ``check-decomp``, ``check-failure`` and ``verify``, and for
+``check-decomp`` and ``check-failure`` again with ``--depth 4`` (the bounded
+reading of DC3/EF3), on each bundled fixture, the text and the ``--json``
+output are run through ``taskdec.cli.main``; the digest of stdout, the
+digest of stderr and the exit code are written to
+``tests/cli_output_digests.json``.  The same file also
 pins the reports on seeded generated draws (2 and 3 agents, acyclic and
 cyclic, at most 8 states, passive and non-passive failures): the digest of
 the JSON form of ``decomposability_report``, ``remains_decomposable``,
@@ -35,7 +37,13 @@ from taskdec.topdown import TeamDesign, verify_team_under_failure
 
 OUT = Path(__file__).resolve().parent.parent / "tests" / "cli_output_digests.json"
 
-COMMANDS = ("check-decomp", "check-failure", "verify")
+COMMANDS = (
+    ("check-decomp",),
+    ("check-failure",),
+    ("verify",),
+    ("check-decomp", "--depth", "4"),
+    ("check-failure", "--depth", "4"),
+)
 
 DRAW_SEEDS = range(20)
 
@@ -52,12 +60,12 @@ def run_cli(argv: list[str]) -> dict:
 
 
 def compute_digests() -> dict[str, dict]:
-    """Digests keyed by the command line, e.g. ``"check-decomp ex1.scn --json"``."""
+    """Digests keyed by the command line, e.g. ``"check-decomp ex1.scn --depth 4 --json"``."""
     digests = {}
-    for command in COMMANDS:
+    for command, *options in COMMANDS:
         for name in fixture_names():
             for extra in ([], ["--json"]):
-                argv = [command, f"{name}.scn", *extra]
+                argv = [command, f"{name}.scn", *options, *extra]
                 digests[" ".join(argv)] = run_cli(argv)
     digests.update(draw_digests())
     return digests
