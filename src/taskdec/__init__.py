@@ -13,7 +13,6 @@ from .automata import (
     compose_all,
     determinize,
     epsilon_closure,
-    loc,
     parallel_compose,
     run,
 )

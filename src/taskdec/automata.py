@@ -194,12 +194,21 @@ def defined(a: Automaton, string: Sequence[str]) -> bool:
 
 def bounded_language(a: Automaton, depth: int) -> frozenset[tuple[str, ...]]:
     """All strings of the language with length <= depth, by brute-force walk."""
+    return _bounded_from(a, a.initials, depth)
+
+
+def _bounded_from(
+    a: Automaton, starts: Iterable[str], depth: int
+) -> frozenset[tuple[str, ...]]:
+    """All strings of length <= depth that run from ``starts``."""
     if depth < 0:
         raise AutomatonError("depth must be non-negative")
     if depth > MAX_DEPTH:
         raise AutomatonError(f"depth {depth} exceeds the bounded-search guard ({MAX_DEPTH})")
     found: set[tuple[str, ...]] = {()}
-    frontier: list[tuple[tuple[str, ...], frozenset[str]]] = [((), _closure(a, a.initials))]
+    frontier: list[tuple[tuple[str, ...], frozenset[str]]] = [
+        ((), _closure(a, frozenset(starts)))
+    ]
     events = sorted(a.alphabet)
     while frontier:
         string, states = frontier.pop()
@@ -425,8 +434,3 @@ def build_alphabet(
         tuple(frozenset(local_sets[a]) for a in agents),
         frozenset(tuple(c) for c in channels),
     )
-
-
-def loc(d: DistributedAlphabet, event: str) -> frozenset[str]:
-    """Agents whose event set contains ``event``."""
-    return d.loc(event)

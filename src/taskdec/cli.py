@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from importlib import resources
@@ -144,10 +145,7 @@ def cmd_bisim(args) -> int:
 
 def cmd_check_decomp(args) -> int:
     sc, _ = _load_scenario(args.scenario)
-    mode = "bounded" if args.depth is not None else "exact"
-    report = decomposability_report(
-        sc.task_automaton, sc.d, mode=mode, depth=args.depth
-    )
+    report = decomposability_report(sc.task_automaton, sc.d, args.depth)
     if args.json:
         _print_json(report)
         return 0 if report.oracle.holds else 1
@@ -198,10 +196,7 @@ def cmd_check_failure(args) -> int:
         print("error: a scenario file is required", file=sys.stderr)
         return 2
     sc, _ = _load_scenario(args.scenario)
-    mode = "bounded" if args.depth is not None else "exact"
-    report = remains_decomposable(
-        sc.task_automaton, sc.d, sc.failures, mode=mode, depth=args.depth
-    )
+    report = remains_decomposable(sc.task_automaton, sc.d, sc.failures, args.depth)
     if args.json:
         _print_json(report)
         return 0 if report.remains else 1
@@ -306,6 +301,7 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taskdec",
@@ -385,9 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
     MAX_DEPTH,
     Automaton,
     AutomatonError,
     DistributedAlphabet,
-    bounded_language,
+    _bounded_from,
     compose_all,
     defined,
     run_from,
@@ -41,6 +41,7 @@ from .relations import (
 
 ILLEGAL_WITNESS_CAP = 64
 TUPLE_BUDGET = 250_000
+PAIRWISE_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -230,16 +231,15 @@ def check_dc2(
 
 
 def _illegal_strings(
-    composition: Automaton, a_s: Automaton, depth: int, cap: int
-) -> list[tuple[str, ...]]:
-    """Shortest-first sample of strings the composition allows but the task forbids."""
-    found: list[tuple[str, ...]] = []
+    composition: Automaton, a_s: Automaton, depth: int
+) -> Iterator[tuple[str, ...]]:
+    """Shortest first: strings the composition allows but the task forbids."""
     frontier: list[tuple[tuple[str, ...], frozenset[str], frozenset[str]]] = [
         ((), frozenset(composition.initials), frozenset(a_s.initials))
     ]
     events = sorted(composition.alphabet)
     budget = 50_000
-    while frontier and len(found) < cap and budget > 0:
+    while frontier and budget > 0:
         next_frontier = []
         for string, sc, sa in frontier:
             if len(string) == depth:
@@ -252,58 +252,62 @@ def _illegal_strings(
                 na = frozenset(t for q in sa for t in a_s.targets(q, e))
                 longer = string + (e,)
                 if not na:
-                    if len(found) < cap:
-                        found.append(longer)
+                    yield longer
                     continue
                 next_frontier.append((longer, nc, na))
         frontier = next_frontier
-    return found
+
+
+def _weaves_outside(
+    a_s: Automaton,
+    starts: Iterable[str],
+    locals_: Mapping[str, Sequence[str]],
+    sets: Mapping[str, frozenset[str]],
+) -> Iterator[tuple[str, ...]]:
+    """Interleavings of the local strings that the task cannot run from ``starts``."""
+    members = enumerate_sync_product(locals_, sets, sum(len(p) for p in locals_.values()))
+    return (m for m in sorted(members) if not run_from(a_s, starts, m))
 
 
 def check_dc3(
     a_s: Automaton,
     d: DistributedAlphabet,
     sets: Mapping[str, frozenset[str]] | None = None,
-    mode: str = "exact",
     depth: int | None = None,
 ) -> ConditionReport:
     """No interleaving reassembled from the local views may escape the task.
 
-    Exact mode checks language inclusion of the composed projections in the
-    task.  Bounded mode rebuilds the interleaving closure explicitly: every
-    way of weaving together local views of task strings (two of which must
-    differ) has to be a task string itself.
+    Without a depth (exact mode) this is language inclusion of the composed
+    projections in the task.  With a depth (bounded mode) the interleaving
+    closure is rebuilt explicitly: every way of weaving together local views
+    of task strings up to that length (two of which must differ) has to be a
+    task string itself.
     """
     _require_task(a_s)
     pairs = _sets_in_order(d, sets)
     composition = compose_all([project_automaton(a_s, events) for _, events in pairs])
-    return _check_dc3(a_s, pairs, composition, mode, depth)
+    return _check_dc3(a_s, pairs, composition, depth)
 
 
 def _check_dc3(
     a_s: Automaton,
     pairs: Sequence[tuple[str, frozenset[str]]],
     composition: Automaton,
-    mode: str,
     depth: int | None,
 ) -> ConditionReport:
     """DC3 over the given event sets; ``composition`` composes their views."""
-    if mode == "exact":
+    if depth is None:
         inclusion = language_included(composition, a_s)
         if inclusion.holds:
             return ConditionReport("DC3", True)
         shortest = inclusion.witness.string
-        sample_depth = min(MAX_DEPTH, len(shortest) + 2)
-        sample = _illegal_strings(composition, a_s, sample_depth, ILLEGAL_WITNESS_CAP)
+        sample = _illegal_strings(composition, a_s, min(MAX_DEPTH, len(shortest) + 2))
         witnesses = tuple(
-            ConditionWitness(kind="illegal-string", string=s) for s in sample
+            ConditionWitness(kind="illegal-string", string=s)
+            for s in itertools.islice(sample, ILLEGAL_WITNESS_CAP)
         ) or (ConditionWitness(kind="illegal-string", string=shortest),)
         return ConditionReport("DC3", False, witnesses)
-    if mode != "bounded":
-        raise AutomatonError(f"unknown mode {mode!r}")
-    if depth is None:
-        raise AutomatonError("bounded mode needs a depth")
-    language = sorted(bounded_language(a_s, depth))
+    language = sorted(_bounded_from(a_s, a_s.initials, depth))
     set_list = pairs
     shared_keys: list[tuple[int, frozenset[str]]] = []
     for i, j in itertools.combinations(range(len(set_list)), 2):
@@ -332,27 +336,19 @@ def _check_dc3(
         vectors.add(
             tuple(project_string(s, events) for s, (_, events) in zip(combo, set_list))
         )
-    witnesses = []
-    notes = (f"interleaving closure holds {len(core)} of {len(language)} strings",)
-    for vector in sorted(vectors):
-        locals_ = {agent: vector[i] for i, (agent, _) in enumerate(set_list)}
-        members = enumerate_sync_product(
-            locals_, dict(set_list), sum(len(p) for p in vector)
+    agents, sets = [agent for agent, _ in set_list], dict(set_list)
+    found = (
+        ConditionWitness(
+            kind="illegal-interleaving",
+            string=member,
+            note="woven from " + " | ".join(" ".join(p) or "(empty)" for p in vector),
         )
-        for member in sorted(members):
-            if not defined(a_s, member):
-                witnesses.append(
-                    ConditionWitness(
-                        kind="illegal-interleaving",
-                        string=member,
-                        note="woven from " + " | ".join(" ".join(p) or "(empty)" for p in vector),
-                    )
-                )
-            if len(witnesses) >= ILLEGAL_WITNESS_CAP:
-                break
-        if len(witnesses) >= ILLEGAL_WITNESS_CAP:
-            break
-    return ConditionReport("DC3", not witnesses, tuple(witnesses), mode="bounded", notes=notes)
+        for vector in sorted(vectors)
+        for member in _weaves_outside(a_s, a_s.initials, dict(zip(agents, vector)), sets)
+    )
+    witnesses = tuple(itertools.islice(found, ILLEGAL_WITNESS_CAP))
+    notes = (f"interleaving closure holds {len(core)} of {len(language)} strings",)
+    return ConditionReport("DC3", not witnesses, witnesses, mode="bounded", notes=notes)
 
 
 def check_dc4(
@@ -479,61 +475,55 @@ def is_decomposable(
     return bisimilar(compose_all([v for _, v in views]), a_s)
 
 
-def _check_dc3_pairwise(
-    a_s: Automaton, d: DistributedAlphabet, depth: int
-) -> ConditionReport:
+def _check_dc3_pairwise(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
     """Two-agent reading of DC3: cross-weave any two strings that open on the
     same shared event, from any state where both can run."""
     first, second = d.agents
     shared = d.local(first) & d.local(second)
     sets = {first: d.local(first), second: d.local(second)}
-    witnesses = []
-    for q in a_s.states:
-        rooted = replace(a_s, initials=frozenset([q]))
-        strings = [
-            s for s in sorted(bounded_language(rooted, depth)) if project_string(s, shared)
-        ]
-        for s1, s2 in itertools.permutations(strings, 2):
-            if project_string(s1, shared)[0] != project_string(s2, shared)[0]:
-                continue
-            locals_ = {
-                first: project_string(s1, sets[first]),
-                second: project_string(s2, sets[second]),
-            }
-            members = enumerate_sync_product(
-                locals_, sets, len(s1) + len(s2)
-            )
-            for member in sorted(members):
-                if not run_from(a_s, [q], member):
-                    witnesses.append(
-                        ConditionWitness(
-                            kind="illegal-interleaving",
-                            state=q,
-                            string=member,
-                            sources=(s1, s2),
-                            note=f"woven from {' '.join(s1)} and {' '.join(s2)}",
-                        )
+
+    def found() -> Iterator[ConditionWitness]:
+        for q in a_s.states:
+            strings = [
+                s for s in sorted(_bounded_from(a_s, [q], PAIRWISE_DEPTH))
+                if project_string(s, shared)
+            ]
+            for s1, s2 in itertools.permutations(strings, 2):
+                if project_string(s1, shared)[0] != project_string(s2, shared)[0]:
+                    continue
+                locals_ = {
+                    first: project_string(s1, sets[first]),
+                    second: project_string(s2, sets[second]),
+                }
+                for member in _weaves_outside(a_s, [q], locals_, sets):
+                    yield ConditionWitness(
+                        kind="illegal-interleaving",
+                        state=q,
+                        string=member,
+                        sources=(s1, s2),
+                        note=f"woven from {' '.join(s1)} and {' '.join(s2)}",
                     )
-                if len(witnesses) >= ILLEGAL_WITNESS_CAP:
-                    break
-            if len(witnesses) >= ILLEGAL_WITNESS_CAP:
-                break
+
+    witnesses = tuple(itertools.islice(found(), ILLEGAL_WITNESS_CAP))
     return ConditionReport(
         "DC3-pairwise",
         not witnesses,
-        tuple(witnesses),
+        witnesses,
         mode="bounded",
-        notes=(f"string pairs explored to depth {depth}",),
+        notes=(f"string pairs explored to depth {PAIRWISE_DEPTH}",),
     )
 
 
 def decomposability_report(
     a_s: Automaton,
     d: DistributedAlphabet,
-    mode: str = "exact",
     depth: int | None = None,
 ) -> DecompReport:
-    """Run everything: the four conditions, the oracle, and their agreement."""
+    """Run everything: the four conditions, the oracle, and their agreement.
+
+    DC3 is read exactly unless ``depth`` is given; then it is the bounded
+    interleaving reading at that depth.
+    """
     _require_task(a_s)
     missing = a_s.alphabet - d.alphabet
     if missing:
@@ -545,7 +535,7 @@ def decomposability_report(
     composition = compose_all([v for _, v in views])
     conditions = (
         *_check_dc12(a_s, sets),
-        _check_dc3(a_s, sets, composition, mode, depth),
+        _check_dc3(a_s, sets, composition, depth),
         check_dc4(a_s, d),
     )
     conjunction = all(c.holds for c in conditions)
@@ -557,7 +547,7 @@ def decomposability_report(
         dc1p, dc2p = _pair_reports(
             a_s, private, ("DC1-private-pairs", "DC2-private-pairs")
         )
-        dc3p = _check_dc3_pairwise(a_s, d, depth=min(4, MAX_DEPTH))
+        dc3p = _check_dc3_pairwise(a_s, d)
         restricted = (
             dc1p.holds and dc2p.holds and conditions[2].holds and conditions[3].holds
         )

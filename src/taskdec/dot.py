@@ -9,16 +9,14 @@ def _quote(name: str) -> str:
     return f'"{escaped}"'
 
 
-def dot_export(a: Automaton, name: str = "automaton", rankdir: str = "LR") -> str:
+def dot_export(a: Automaton, name: str = "automaton") -> str:
     """DOT text for the automaton.
 
     Initial states get an arrow from an invisible point, hidden moves show as
     dashed edges, and everything is emitted in a fixed order so the same
     automaton always yields the same bytes.
     """
-    lines = [f"digraph {_quote(name)} {{"]
-    lines.append(f"  rankdir={rankdir};")
-    lines.append("  node [shape=circle];")
+    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", "  node [shape=circle];"]
     for i, q in enumerate(sorted(a.initials, key=a.sort_key)):
         lines.append(f"  __start{i} [shape=point, style=invis];")
     for q in a.states:

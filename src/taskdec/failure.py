@@ -343,10 +343,11 @@ def check_ef(
     d: DistributedAlphabet,
     f: FailureSpec,
     which: str,
-    mode: str = "exact",
     depth: int | None = None,
 ) -> ConditionReport:
     """One post-failure condition, evaluated over the refined event sets.
+
+    EF3 is read exactly unless ``depth`` is given, as DC3 in ``check_dc3``.
 
     EF4 is evaluated along two independent routes (the refined-set branch
     condition and the literal failure-aware reading); the report notes
@@ -362,9 +363,7 @@ def check_ef(
     if which == "EF2":
         return replace(check_dc2(a_s, d, sigma), condition="EF2")
     if which == "EF3":
-        return replace(
-            check_dc3(a_s, d, sigma, mode=mode, depth=depth), condition="EF3"
-        )
+        return replace(check_dc3(a_s, d, sigma, depth), condition="EF3")
     if which == "EF4":
         return _check_ef4(a_s, d, f, sigma)
     raise AutomatonError(f"unknown condition {which!r}")
@@ -416,7 +415,6 @@ def remains_decomposable(
     a_s: Automaton,
     d: DistributedAlphabet,
     f: FailureSpec,
-    mode: str = "exact",
     depth: int | None = None,
 ) -> FailureReport:
     """Does decomposability survive the failures?
@@ -426,7 +424,7 @@ def remains_decomposable(
     oracle: composing the failed local views and comparing against the task.
     With passive failures each failed view is, up to state names, the task
     projected onto the agent's refined set, so exact EF3 reads the oracle's
-    composition.
+    composition.  With a ``depth``, EF3 is the bounded interleaving reading.
     """
     _require_task(a_s)
     pv = passivity(d, f)
@@ -445,7 +443,7 @@ def remains_decomposable(
     if pv.all_passive:
         conditions = (
             *_check_dc12(a_s, sigma, ("EF1", "EF2")),
-            replace(_check_dc3(a_s, sigma, composition, mode, depth), condition="EF3"),
+            replace(_check_dc3(a_s, sigma, composition, depth), condition="EF3"),
             _check_ef4(a_s, d, f, sigma_map),
         )
         conjunction = all(c.holds for c in conditions)

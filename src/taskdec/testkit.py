@@ -30,6 +30,13 @@ from .failure import (
 from .scenario import Scenario, emit
 
 EVENT_POOL = "abcdefgh"
+# Chance that a shared event gets a channel between two of its owners beyond
+# the ones every receiver needs.
+CHANNEL_DENSITY = 0.3
+# Draws gen_scenario tries before giving up on a decomposable scenario.
+DRAW_BUDGET = 500
+# Most (agent, event) failures gen_failures picks at once.
+MAX_FAILED = 2
 
 
 @dataclass(frozen=True)
@@ -40,7 +47,6 @@ class GenParams:
     agent_count: int = 2
     max_branching: int = 3
     allow_cycles: bool = False
-    channel_density: float = 0.3
 
 
 def universal_loop(events) -> Automaton:
@@ -128,16 +134,14 @@ def gen_alphabet(
                 channels.add((event, sender, receiver))
         for sender in who:
             for receiver in who:
-                if sender != receiver and rng.random() < p.channel_density:
+                if sender != receiver and rng.random() < CHANNEL_DENSITY:
                     channels.add((event, sender, receiver))
     return DistributedAlphabet(agents, tuple(local[a] for a in agents), frozenset(channels))
 
 
-def gen_scenario(
-    params: GenParams, require_decomposable: bool = False, budget: int = 500
-) -> Scenario:
+def gen_scenario(params: GenParams, require_decomposable: bool = False) -> Scenario:
     """A random scenario, optionally rejection-sampled to be decomposable."""
-    for attempt in range(budget):
+    for attempt in range(DRAW_BUDGET):
         rng = random.Random(f"scenario:{params.seed}:{attempt}")
         task = gen_automaton(rng, params)
         d = gen_alphabet(rng, task, params)
@@ -145,7 +149,7 @@ def gen_scenario(
             continue
         return Scenario(automata=(("task", task),), d=d, task="task")
     raise RuntimeError(
-        f"no decomposable scenario within {budget} draws (seed {params.seed})"
+        f"no decomposable scenario within {DRAW_BUDGET} draws (seed {params.seed})"
     )
 
 
@@ -164,7 +168,6 @@ def gen_failures(
     rng: random.Random,
     d: DistributedAlphabet,
     only_passive: bool = True,
-    max_failed: int = 2,
 ) -> FailureSpec:
     """A random failure pick; empty when no candidate fits the constraint."""
     if only_passive:
@@ -177,7 +180,7 @@ def gen_failures(
         ]
     if not pool:
         return FailureSpec()
-    picked = rng.sample(pool, rng.randint(1, min(max_failed, len(pool))))
+    picked = rng.sample(pool, rng.randint(1, min(MAX_FAILED, len(pool))))
     grouped: dict[str, set[str]] = {}
     for agent, event in picked:
         grouped.setdefault(agent, set()).add(event)
@@ -272,13 +275,7 @@ def _persist(corpus_dir, disagreement: Disagreement) -> None:
     (path / name).write_text(disagreement.scenario_text)
 
 
-def differential_suite(
-    params: GenParams,
-    trials: int,
-    corpus_dir=None,
-    require_decomposable: bool = False,
-    with_failures: bool = True,
-) -> SuiteSummary:
+def differential_suite(params: GenParams, trials: int, corpus_dir=None) -> SuiteSummary:
     """Structural checks vs the oracle over random scenarios.
 
     Per trial: the decomposability report must agree with its oracle (and the
@@ -291,7 +288,7 @@ def differential_suite(
     dual_checks = 0
     for t in range(trials):
         p = replace(params, seed=params.seed + t)
-        sc = gen_scenario(p, require_decomposable=require_decomposable)
+        sc = gen_scenario(p)
         task, d = sc.task_automaton, sc.d
 
         def bad(kind: str, detail: str, scenario: Scenario) -> None:
@@ -308,8 +305,6 @@ def differential_suite(
             )
         if report.two_agent and not report.two_agent.consistent_with_oracle:
             bad("two-agent-restriction", "restricted pair reading disagrees", sc)
-        if not with_failures:
-            continue
         rng = random.Random(f"failures:{p.seed}")
         f = gen_failures(rng, d, only_passive=True)
         if f.empty:
@@ -343,9 +338,7 @@ def differential_suite(
     return SuiteSummary(trials, failure_trials, dual_checks, tuple(disagreements))
 
 
-def stopped_event_suite(
-    params: GenParams, trials: int, corpus_dir=None
-) -> SuiteSummary:
+def stopped_event_suite(params: GenParams, trials: int) -> SuiteSummary:
     """Non-passive failures must always cost bisimilarity.
 
     Every generated alphabet event occurs somewhere in the task, and a
@@ -373,20 +366,16 @@ def stopped_event_suite(
         checked += 1
         fr = remains_decomposable(task, d, f)
         if fr.remains:
-            entry = Disagreement(
+            disagreements.append(Disagreement(
                 p.seed,
                 "non-passive-survival",
                 f"event {event} stopped in agent {agent} yet the team still matches",
                 emit(replace(sc, failures=f)),
-            )
-            disagreements.append(entry)
-            _persist(corpus_dir, entry)
+            ))
     return SuiteSummary(trials, checked, 0, tuple(disagreements))
 
 
-def two_agent_suite(
-    params: GenParams, trials: int, corpus_dir=None
-) -> SuiteSummary:
+def two_agent_suite(params: GenParams, trials: int) -> SuiteSummary:
     """Two-agent structure: set identities, pair-space agreement, whole-agent rule."""
     disagreements: list[Disagreement] = []
     failure_trials = 0
@@ -400,9 +389,7 @@ def two_agent_suite(
         task, d = sc.task_automaton, sc.d
 
         def bad(kind: str, detail: str, scenario: Scenario) -> None:
-            entry = Disagreement(p.seed, kind, detail, emit(scenario))
-            disagreements.append(entry)
-            _persist(corpus_dir, entry)
+            disagreements.append(Disagreement(p.seed, kind, detail, emit(scenario)))
 
         rng = random.Random(f"two:{p.seed}")
         f = gen_failures(rng, d, only_passive=True)

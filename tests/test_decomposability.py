@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskdec.automata import (
+    MAX_DEPTH,
     AutomatonError,
     build_alphabet,
     build_automaton,
     defined,
 )
 from taskdec.decomposability import (
+    ILLEGAL_WITNESS_CAP,
     check_dc1,
     check_dc2,
     check_dc3,
@@ -22,7 +24,7 @@ from taskdec.decomposability import (
     replay_condition_witness,
 )
 from taskdec.relations import replay_witness
-from taskdec.testkit import GenParams, gen_alphabet, gen_automaton
+from taskdec.testkit import GenParams, gen_alphabet, gen_automaton, gen_scenario
 
 
 def simple_choice():
@@ -145,7 +147,7 @@ def test_dc3_bounded_mode_agrees_on_the_verdict():
     # produce the weave "b" (no task string projects to nothing on agent 1),
     # but it still convicts via "a c".
     task, d = weave_escapes()
-    report = check_dc3(task, d, mode="bounded", depth=4)
+    report = check_dc3(task, d, depth=4)
     assert not report.holds
     assert report.mode == "bounded"
     strings = {w.string for w in report.witnesses}
@@ -157,18 +159,18 @@ def test_dc3_bounded_mode_agrees_on_the_verdict():
         assert replay_condition_witness(task, d, w)
 
 
-def test_dc3_bounded_mode_needs_a_depth():
+def test_dc3_bounded_depth_is_validated():
     task, d = weave_escapes()
     with pytest.raises(AutomatonError):
-        check_dc3(task, d, mode="bounded")
+        check_dc3(task, d, depth=-1)
     with pytest.raises(AutomatonError):
-        check_dc3(task, d, mode="sideways")
+        check_dc3(task, d, depth=MAX_DEPTH + 1)
 
 
 def test_dc3_holds_on_decomposable_fixture(scn):
     sc = scn("ex7")
     assert check_dc3(sc.task_automaton, sc.d).holds
-    assert check_dc3(sc.task_automaton, sc.d, mode="bounded", depth=4).holds
+    assert check_dc3(sc.task_automaton, sc.d, depth=4).holds
 
 
 def test_dc4_tolerates_benign_nondeterminism(scn):
@@ -259,6 +261,18 @@ def test_two_agent_pairwise_weave_witnesses_replay():
     assert any(w.string == ("c", "b") for w in pairwise.witnesses)
     assert not report.oracle.holds
     assert report.two_agent.consistent_with_oracle
+
+
+def test_two_agent_pairwise_reading_stops_at_the_witness_cap():
+    # This cyclic draw has more illegal interleavings than the cap; the
+    # search must stop at the cap, not only within the state it was reached.
+    p = GenParams(seed=131, max_states=6, max_events=5, agent_count=2,
+                  allow_cycles=True, max_branching=6)
+    sc = gen_scenario(p)
+    task, d = sc.task_automaton, sc.d
+    pairwise = decomposability_report(task, d).two_agent.dc3_pairwise
+    assert len(pairwise.witnesses) == ILLEGAL_WITNESS_CAP
+    assert all(replay_condition_witness(task, d, w) for w in pairwise.witnesses)
 
 
 def test_report_rejects_unowned_events():

@@ -52,10 +52,10 @@ def test_quotes_and_backslashes_are_escaped():
     assert '  "s \\"x\\"" -> "s1" [label="a"];' in out
 
 
-def test_rankdir_and_graph_name_are_configurable():
+def test_graph_name_is_configurable():
     a = build_automaton(["q0"], "q0", ["a"], [])
-    out = dot_export(a, name="plant 1", rankdir="TB")
-    assert out.startswith('digraph "plant 1" {\n  rankdir=TB;')
+    out = dot_export(a, name="plant 1")
+    assert out.startswith('digraph "plant 1" {\n')
 
 
 @settings(max_examples=40, deadline=None)

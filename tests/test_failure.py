@@ -209,6 +209,21 @@ def test_ex4_illegal_interleavings(scn):
     assert not fr.remains and fr.consistent
 
 
+def test_bounded_ef3_convicts_ex4_and_clears_ex1(scn):
+    sc = scn("ex4")
+    task, d, f = sc.task_automaton, sc.d, sc.failures
+    fr = remains_decomposable(task, d, f, depth=4)
+    ef3 = next(c for c in fr.conditions if c.condition == "EF3")
+    assert not ef3.holds and ef3.mode == "bounded"
+    assert ("a", "c") in {w.string for w in ef3.witnesses}
+    for w in ef3.witnesses:
+        assert replay_condition_witness(task, d, w, dict(fr.sigma))
+    assert check_ef(task, d, f, "EF3", depth=4) == ef3
+    sc = scn("ex1")
+    held = check_ef(sc.task_automaton, sc.d, sc.failures, "EF3", depth=4)
+    assert held.holds and held.mode == "bounded"
+
+
 def test_ex5_branch_divergence_under_both_readings(scn):
     sc = scn("ex5")
     fr = remains_decomposable(sc.task_automaton, sc.d, sc.failures)
