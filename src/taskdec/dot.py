@@ -16,7 +16,9 @@ def dot_export(a: Automaton, name: str = "automaton") -> str:
     dashed edges, and everything is emitted in a fixed order so the same
     automaton always yields the same bytes.
     """
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=LR;", "  node [shape=circle];"]
+    lines = [f"digraph {_quote(name)} {{"]
+    lines.append("  rankdir=LR;")
+    lines.append("  node [shape=circle];")
     for i, q in enumerate(sorted(a.initials, key=a.sort_key)):
         lines.append(f"  __start{i} [shape=point, style=invis];")
     for q in a.states:
