@@ -26,6 +26,12 @@ from . import fixtures
 
 
 def to_jsonable(obj):
+    """The JSON form of ``obj`` printed as a whole.
+
+    An automaton, or a relation verdict with its relation, renders in full
+    only here; nested in a report, an automaton renders as its state and
+    transition counts and a verdict as ``holds`` and ``witness``.
+    """
     if isinstance(obj, Automaton):
         return {
             "states": list(obj.states),
@@ -33,17 +39,31 @@ def to_jsonable(obj):
             "alphabet": sorted(obj.alphabet),
             "transitions": [list(t) for t in sorted(obj.transitions)],
         }
+    if isinstance(obj, RelationVerdict):
+        return {
+            "holds": obj.holds,
+            "relation": _nested(obj.relation),
+            "witness": _nested(obj.witness),
+        }
+    return _nested(obj)
+
+
+def _nested(obj):
+    if isinstance(obj, Automaton):
+        return {"states": len(obj.states), "transitions": len(obj.transitions)}
+    if isinstance(obj, RelationVerdict):
+        return {"holds": obj.holds, "witness": _nested(obj.witness)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
-            field.name: to_jsonable(getattr(obj, field.name))
+            field.name: _nested(getattr(obj, field.name))
             for field in dataclasses.fields(obj)
         }
     if isinstance(obj, frozenset):
-        return [to_jsonable(x) for x in sorted(obj)]
+        return [_nested(x) for x in sorted(obj)]
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
+        return [_nested(x) for x in obj]
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return {str(k): _nested(v) for k, v in obj.items()}
     return obj
 
 
@@ -62,9 +82,11 @@ def _load_text(path: str) -> str:
     p = Path(path)
     if p.exists():
         return p.read_text()
-    bundled = resources.files(fixtures.__package__) / Path(path).name
-    if bundled.is_file():
-        return bundled.read_text()
+    if p.name == path:
+        # A bare file name may also name a bundled fixture.
+        bundled = resources.files(fixtures.__package__) / path
+        if bundled.is_file():
+            return bundled.read_text()
     raise FileNotFoundError(f"no such scenario file: {path}")
 
 

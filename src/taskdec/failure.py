@@ -34,7 +34,7 @@ from .decomposability import (
     local_views,
 )
 from .projection import _project_with_classes, project_automaton
-from .relations import RelationVerdict, bisimilar
+from .relations import RelationVerdict, matches_task
 
 PASSIVE = "passive"
 NOT_RECEIVED = "not-received"
@@ -218,7 +218,7 @@ def _pre_and_post(
     """Project each view once: the pre-failure verdict, the failed views and
     their composition."""
     views = local_views(a_s, d)
-    pre = bisimilar(compose_all([v for _, v in views]), a_s)
+    pre = matches_task([v for _, v in views], a_s)
     failed = _failed_views(views, f, pv)
     return pre, failed, compose_all([v for _, v in failed])
 
@@ -449,7 +449,7 @@ def remains_decomposable(
         conjunction = all(c.holds for c in conditions)
     else:
         notes.append("condition checks skipped: they require passive failures")
-    oracle = bisimilar(composition, a_s)
+    oracle = matches_task([composition], a_s)
     remains = oracle.holds
     predicted = conjunction if pv.all_passive else None
     dual_ok = all(ef_dual_agreement(c) for c in conditions if c.condition == "EF4")
@@ -581,7 +581,7 @@ def two_agent_analysis(
         )
     else:
         notes.append("identity and pair-space sections need passive failures")
-    oracle = bisimilar(composition, a_s)
+    oracle = matches_task([composition], a_s)
     whole_agent = []
     for agent, full, lost in ((one, e1_set, f1), (two, e2_set, f2)):
         if lost == full and full:

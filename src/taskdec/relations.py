@@ -8,11 +8,19 @@ forms can be replayed against the original automata.
 """
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .automata import Automaton, AutomatonError, defined, run
+from .automata import (
+    Automaton,
+    AutomatonError,
+    _check_composable,
+    compose_all,
+    defined,
+    run,
+)
 
 
 @dataclass(frozen=True)
@@ -214,6 +222,69 @@ def bisimilar(a1: Automaton, a2: Automaton) -> RelationVerdict:
     if holds:
         return RelationVerdict(True, rel, None)
     return RelationVerdict(False, None, _difference_witness(a1, a2))
+
+
+def matches_task(parts: Sequence[Automaton], task: Automaton) -> RelationVerdict:
+    """Is the parallel composition of ``parts`` bisimilar to ``task``?
+
+    The same verdict, witness and errors as
+    ``bisimilar(compose_all(parts), task)``, with ``relation`` left empty.
+    For a deterministic task the composition is built only to explain a
+    negative verdict: a composition without hidden moves is bisimilar to a
+    deterministic task exactly when, at every pair (tuple of part states,
+    task state) that one string reaches on both sides, both sides enable the
+    same events, so the check walks those pairs and builds each successor
+    tuple as it goes.
+    """
+    parts = list(parts)
+    if not parts:
+        raise AutomatonError("nothing to compose")
+    _check_composable(parts)
+    if not task.deterministic:
+        return bisimilar(compose_all(parts), task)
+    if _lockstep_agrees(parts, task):
+        return RelationVerdict(True)
+    return RelationVerdict(False, None, _difference_witness(compose_all(parts), task))
+
+
+def _lockstep_agrees(parts: Sequence[Automaton], task: Automaton) -> bool:
+    """Do the composed parts and the deterministic task enable the same events
+    at every pair reached by one string?
+
+    The composition enables an event when every part whose alphabet holds it
+    enables it; an event in no part's alphabet is disabled.
+    """
+    owners: dict[str, list[int]] = {}
+    for i, a in enumerate(parts):
+        for e in a.alphabet:
+            owners.setdefault(e, []).append(i)
+    (q0,) = task.initials
+    seen = {(combo, q0) for combo in itertools.product(*(a.initials for a in parts))}
+    stack = list(seen)
+    while stack:
+        combo, q = stack.pop()
+        wanted = task.enabled(q)
+        for a, x in zip(parts, combo):
+            for e in a.enabled(x) - wanted:
+                if all(e in parts[i].enabled(combo[i]) for i in owners[e]):
+                    return False
+        for e in wanted:
+            own = owners.get(e)
+            if not own:
+                return False
+            moves = [parts[i].targets(combo[i], e) for i in own]
+            if not all(moves):
+                return False
+            (nq,) = task.targets(q, e)
+            for choice in itertools.product(*moves):
+                nxt = list(combo)
+                for i, x in zip(own, choice):
+                    nxt[i] = x
+                pair = (tuple(nxt), nq)
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append(pair)
+    return True
 
 
 def language_included(a: Automaton, d: Automaton) -> RelationVerdict:

@@ -7,6 +7,8 @@ scenario to a corpus directory.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -58,40 +60,40 @@ def universal_loop(events) -> Automaton:
 
 
 def gen_automaton(rng: random.Random, p: GenParams) -> Automaton:
-    """A random deterministic automaton whose states are all reachable."""
+    """A random deterministic automaton whose states are all reachable.
+
+    ``free`` lists the unused (state, event) slots in state-major order.
+    Each step draws an index into the list of candidate moves that order
+    spells out, without building that list: ``rng.choice(range(n))`` draws
+    exactly as ``rng.choice`` on a list of length n does.
+    """
     n = rng.randint(1, p.max_states)
     events = list(EVENT_POOL[: rng.randint(1, p.max_events)])
     used: dict[tuple[int, str], int] = {}
+    free = [(0, e) for e in events]
     count = 1
     for i in range(1, n):
-        slots = [
-            (s, e) for s in range(count) for e in events if (s, e) not in used
-        ]
-        if not slots:
+        if not free:
             break
-        src, event = rng.choice(slots)
+        src, event = free.pop(rng.choice(range(len(free))))
         used[(src, event)] = count
+        free.extend((count, e) for e in events)
         count += 1
     for _ in range(rng.randint(0, p.max_branching)):
         if p.allow_cycles:
-            slots = [
-                (s, e, t)
-                for s in range(count)
-                for e in events
-                for t in range(count)
-                if (s, e) not in used
-            ]
+            # Every free slot may move to any state.
+            if not free:
+                break
+            k, dst = divmod(rng.choice(range(len(free) * count)), count)
         else:
-            slots = [
-                (s, e, t)
-                for s in range(count)
-                for e in events
-                for t in range(s + 1, count)
-                if (s, e) not in used
-            ]
-        if not slots:
-            break
-        src, event, dst = rng.choice(slots)
+            # A free slot of state s may move to each of the count-1-s later states.
+            ends = list(itertools.accumulate(count - 1 - s for s, _ in free))
+            if not ends or not ends[-1]:
+                break
+            pick = rng.choice(range(ends[-1]))
+            k = bisect.bisect_right(ends, pick)
+            dst = free[k][0] + 1 + pick - (ends[k - 1] if k else 0)
+        src, event = free.pop(k)
         used[(src, event)] = dst
     return build_automaton(
         [f"s{i}" for i in range(count)],

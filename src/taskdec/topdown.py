@@ -14,7 +14,6 @@ from .automata import (
     Automaton,
     AutomatonError,
     DistributedAlphabet,
-    compose_all,
     parallel_compose,
 )
 from .failure import (
@@ -25,7 +24,7 @@ from .failure import (
     passivity,
 )
 from .projection import project_automaton
-from .relations import RelationVerdict, bisimilar
+from .relations import RelationVerdict, bisimilar, matches_task
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,7 @@ def verify_local(design: TeamDesign, agent: str) -> RelationVerdict:
 def verify_team(design: TeamDesign) -> RelationVerdict:
     """Do the composed closed loops reproduce the task?"""
     loops = [closed_loop(design, agent) for agent in design.agents]
-    return bisimilar(compose_all(loops), design.task)
+    return matches_task(loops, design.task)
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def verify_team_under_failure(design: TeamDesign) -> TeamFailureReport:
         (agent, project_automaton(task, d.local(agent))) for agent in design.agents
     )
     locals_ = tuple((agent, bisimilar(loops[agent], view)) for agent, view in views)
-    team = bisimilar(compose_all(list(loops.values())), task)
+    team = matches_task(loops.values(), task)
     pv = passivity(d, f)
     notes: list[str] = []
     failed_views = dict(_failed_views(views, f, pv))
@@ -135,8 +134,8 @@ def verify_team_under_failure(design: TeamDesign) -> TeamFailureReport:
         )
         failed_loops.append(failed_loop)
         loop_links.append((agent, bisimilar(failed_loop, failed_views[agent])))
-    views_link = bisimilar(compose_all(list(failed_views.values())), task)
-    final = bisimilar(compose_all(failed_loops), task)
+    views_link = matches_task(failed_views.values(), task)
+    final = matches_task(failed_loops, task)
     chain = all(v.holds for _, v in loop_links) and views_link.holds
     consistent = final.holds or not chain
     if not consistent:

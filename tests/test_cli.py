@@ -45,6 +45,15 @@ def test_bundled_fixtures_resolve_from_anywhere(tmp_path, monkeypatch, capsys):
     assert run(capsys, "check-decomp", str(bad))[0] == 2
 
 
+def test_only_a_bare_name_falls_back_to_a_bundled_fixture(capsys):
+    rc, out, err = run(capsys, "check-decomp", "/no/such/dir/ex1.scn")
+    assert (rc, out) == (2, "")
+    assert err == "error: no such scenario file: /no/such/dir/ex1.scn\n"
+    rc, out, err = run(capsys, "check-decomp", "no/such/dir/ex1.scn")
+    assert (rc, out) == (2, "")
+    assert "no such scenario file" in err
+
+
 def test_check_decomp_text_report_names_every_condition(capsys):
     rc, out, _ = run(capsys, "check-decomp", "ex9.scn")
     assert rc == 1
@@ -184,3 +193,57 @@ def test_report_output_is_byte_stable_on_every_fixture():
     assert sorted(actual) == sorted(expected)
     changed = [argv for argv in sorted(expected) if actual[argv] != expected[argv]]
     assert changed == []
+
+
+def _bodies_and_relations(doc) -> list[str]:
+    """JSON paths that hold an automaton body or a bisimulation relation."""
+    found = []
+
+    def walk(x, path):
+        if isinstance(x, dict):
+            if "relation" in x or "alphabet" in x or isinstance(x.get("transitions"), list):
+                found.append(path)
+            for k, v in x.items():
+                walk(v, f"{path}.{k}")
+        elif isinstance(x, list):
+            for i, v in enumerate(x):
+                walk(v, f"{path}[{i}]")
+
+    walk(doc, "$")
+    return found
+
+
+NO_TEAM = "error: this scenario declares no plants or controllers\n"
+
+
+@pytest.mark.parametrize("command", ["check-decomp", "check-failure", "verify"])
+def test_report_json_carries_counts_not_bodies(capsys, command):
+    from taskdec.fixtures import fixture_names
+
+    for name in fixture_names():
+        rc, out, err = run(capsys, command, f"{name}.scn", "--json")
+        if rc == 2:
+            assert (command, err) == ("verify", NO_TEAM), name
+            continue
+        doc = json.loads(out)
+        assert _bodies_and_relations(doc) == [], name
+        key = "final" if command == "verify" else "oracle"
+        assert set(doc[key]) == {"holds", "witness"}
+        assert doc[key]["holds"] is (rc == 0)
+        if command == "check-decomp":
+            assert set(doc["composition"]) == {"states", "transitions"}
+            assert all(set(view) == {"states", "transitions"} for _, view in doc["locals_"])
+
+
+def test_project_compose_and_bisim_json_keep_full_bodies(capsys):
+    rc, out, _ = run(capsys, "project", "ex1.scn", "--agent", "1", "--json")
+    view = json.loads(out)
+    assert rc == 0 and view["alphabet"] == ["a", "e1"] and isinstance(view["transitions"], list)
+    rc, out, _ = run(capsys, "compose", "ex1.scn", "--json")
+    composition = json.loads(out)
+    assert rc == 0 and len(composition["states"]) == 45
+    assert len(composition["transitions"]) == 48
+    rc, out, _ = run(capsys, "bisim", "ex1.scn#task", "ex1.scn#task", "--json")
+    verdict = json.loads(out)
+    assert rc == 0 and verdict["holds"] is True and verdict["witness"] is None
+    assert ["q0", "q0"] in verdict["relation"]

@@ -22,12 +22,16 @@ from taskdec.decomposability import (
     is_decomposable,
     local_views,
 )
+from taskdec.failure import apply_failure
 from taskdec.projection import project_automaton
 from taskdec.relations import (
+    RelationVerdict,
+    Witness,
     _greatest_bisimulation,
     bisimilar,
     find_missing_string,
     language_included,
+    matches_task,
     replay_state_witness,
     replay_witness,
     simulates,
@@ -305,3 +309,84 @@ def test_seed8_cyclic_three_agent_oracle():
     assert is_decomposable(task, d).holds is False
     conditions = [check(task, d).holds for check in (check_dc1, check_dc2, check_dc3, check_dc4)]
     assert all(conditions) is False
+
+
+def _outcome(check, parts, task):
+    try:
+        v = check(parts, task)
+    except AutomatonError as exc:
+        return ("error", str(exc))
+    return (v.holds, v.witness)
+
+
+def _by_composition(parts, task):
+    return bisimilar(compose_all(parts), task)
+
+
+def _part_lists(rng, task, d):
+    """Part lists to hold against ``task``: the views, failed views, one part, multi-initial parts."""
+    views = [view for _, view in local_views(task, d)]
+    yield views
+    for e in sorted(task.alphabet):
+        # e hidden by every owner: no part's alphabet holds it any more
+        yield [apply_failure(v, {e}, {e}) if e in v.alphabet else v for v in views]
+        # e stopped by its first owner: the alphabet keeps it
+        owner = next(i for i, v in enumerate(views) if e in v.alphabet)
+        yield [apply_failure(v, {e}, ()) if i == owner else v for i, v in enumerate(views)]
+    yield [views[0]]
+    yield [task]
+    yield [compose_all(views)]
+    first = views[rng.randrange(len(views))]
+    extra = sorted(rng.sample(first.states, min(2, len(first.states))))
+    yield [
+        Automaton(v.states, v.initials | frozenset(extra), v.alphabet, v.transitions)
+        if v is first else v
+        for v in views
+    ]
+
+
+def test_matches_task_is_bisimilar_of_the_composition():
+    rng = random.Random("matches-task")
+    counts = {"cases": 0, "holding": 0, "nondeterministic_parts": 0}
+    for seed in range(120):
+        p = GenParams(seed=seed, max_states=4 + seed % 17, max_events=5,
+                      agent_count=2 + seed % 3, allow_cycles=seed % 2 == 1,
+                      max_branching=4)
+        sc = gen_scenario(p)
+        task, d = sc.task_automaton, sc.d
+        for parts in _part_lists(rng, task, d):
+            expected = _outcome(_by_composition, parts, task)
+            assert _outcome(matches_task, parts, task) == expected
+            counts["cases"] += 1
+            counts["holding"] += expected[0] is True
+            counts["nondeterministic_parts"] += not all(v.deterministic for v in parts)
+    assert counts["holding"] > 100 and counts["nondeterministic_parts"] > 100, counts
+
+
+def test_matches_task_on_small_cases_and_errors():
+    e_task = chain("e")
+    silent = build_automaton(["x"], "x", {"f"}, [])
+    hidden = build_automaton(["h0", "h1"], "h0", {"e"}, [("h0", EPSILON, "h1"), ("h1", "e", "h0")])
+    two_initials = Automaton(("p", "r"), frozenset({"p", "r"}), frozenset({"e"}),
+                             frozenset({("p", "e", "p")}))
+    nondeterministic_task = build_automaton(
+        ["t0", "t1", "t2"], "t0", None, [("t0", "e", "t1"), ("t0", "e", "t2"), ("t1", "f", "t1")])
+    cases = [
+        ([silent], e_task),  # the task runs an event no part knows
+        ([e_task, silent], e_task),
+        ([two_initials], chain("e", "e")),
+        ([chain("e"), chain("f")], nondeterministic_task),
+        ([], e_task),
+        ([], hidden),
+        ([hidden], e_task),
+        ([e_task], hidden),
+        ([e_task, hidden], nondeterministic_task),
+    ]
+    for parts, task in cases:
+        assert _outcome(matches_task, parts, task) == _outcome(_by_composition, parts, task)
+    assert matches_task([silent], e_task).witness == Witness("string", (), "e", "right")
+    with pytest.raises(AutomatonError, match="nothing to compose"):
+        matches_task([], hidden)
+    with pytest.raises(AutomatonError, match="hidden-move-free"):
+        matches_task([e_task, hidden], nondeterministic_task)
+    assert matches_task([chain("e")], e_task) == RelationVerdict(True, None, None)

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskdec import decomposability
-from taskdec.automata import bounded_language, run_from
+from taskdec.automata import Automaton, bounded_language, build_automaton, run_from
 from taskdec.decomposability import is_decomposable
 from taskdec.failure import build_failures, passivity
 from taskdec.fixtures import load
 from taskdec.scenario import emit, parse_scenario
 from taskdec.testkit import (
+    EVENT_POOL,
     Disagreement,
     GenParams,
     SuiteSummary,
@@ -52,6 +53,57 @@ def test_gen_automaton_is_deterministic_and_trim(seed):
         for q in run_from(a, a.initials, s)
     }
     assert seen | a.initials == set(a.states)
+
+
+def _slot_list_automaton(rng: random.Random, p: GenParams) -> Automaton:
+    """The generator as first written: rebuild every candidate slot list and
+    pick from it.  gen_automaton must draw exactly as this does."""
+    n = rng.randint(1, p.max_states)
+    events = list(EVENT_POOL[: rng.randint(1, p.max_events)])
+    used: dict[tuple[int, str], int] = {}
+    count = 1
+    for i in range(1, n):
+        slots = [(s, e) for s in range(count) for e in events if (s, e) not in used]
+        if not slots:
+            break
+        src, event = rng.choice(slots)
+        used[(src, event)] = count
+        count += 1
+    for _ in range(rng.randint(0, p.max_branching)):
+        slots = [
+            (s, e, t)
+            for s in range(count)
+            for e in events
+            for t in range(0 if p.allow_cycles else s + 1, count)
+            if (s, e) not in used
+        ]
+        if not slots:
+            break
+        src, event, dst = rng.choice(slots)
+        used[(src, event)] = dst
+    return build_automaton(
+        [f"s{i}" for i in range(count)],
+        "s0",
+        None,
+        [(f"s{s}", e, f"s{t}") for (s, e), t in used.items()],
+    )
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_gen_automaton_draws_as_the_slot_list_generator(cyclic):
+    for max_states in (1, 2, 3, 5, 8, 13, 21, 34, 60):
+        for max_events in range(1, 9):
+            for branching in sorted({0, 3, max_states}):
+                p = GenParams(
+                    max_states=max_states,
+                    max_events=max_events,
+                    max_branching=branching,
+                    allow_cycles=cyclic,
+                )
+                seed = f"slots:{max_states}:{max_events}:{branching}:{cyclic}"
+                ours, theirs = random.Random(seed), random.Random(seed)
+                assert gen_automaton(ours, p) == _slot_list_automaton(theirs, p)
+                assert ours.getstate() == theirs.getstate()
 
 
 @settings(max_examples=60, deadline=None)

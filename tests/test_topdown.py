@@ -145,3 +145,27 @@ def test_projection_controllers_work_on_decomposable_scenarios(seed):
     assert verify_team(design).holds
     rep = verify_team_under_failure(design)
     assert rep.holds and rep.consistent
+
+
+def test_team_verdicts_neither_compose_nor_refine_when_they_hold(scn, monkeypatch):
+    from taskdec import relations, topdown
+
+    design = scn("ex6").team_design()
+    calls = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls.append((name, args))
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(relations, "compose_all")
+    recording(relations, "bisimilar")
+    recording(topdown, "bisimilar")
+    rep = verify_team_under_failure(design)
+    assert rep.team.holds and rep.views_link.holds and rep.final.holds
+    assert [name for name, _ in calls] == ["bisimilar"] * (2 * len(design.agents))
+    assert all(args[1] is not design.task for _, args in calls)
