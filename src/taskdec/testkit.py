@@ -73,8 +73,7 @@ def gen_automaton(rng: random.Random, p: GenParams) -> Automaton:
     free = [(0, e) for e in events]
     count = 1
     for i in range(1, n):
-        if not free:
-            break
+        # Never empty: each step frees at least as many slots as it uses.
         src, event = free.pop(rng.choice(range(len(free))))
         used[(src, event)] = count
         free.extend((count, e) for e in events)
