@@ -12,7 +12,6 @@ from .automata import (
     build_automaton,
     compose_all,
     determinize,
-    epsilon_closure,
     parallel_compose,
     run,
 )
@@ -42,7 +41,6 @@ from .failure import (
 )
 from .projection import (
     enumerate_sync_product,
-    inverse_projection_contains,
     project_automaton,
     project_string,
     state_classes,

@@ -150,12 +150,6 @@ def accessible(a: Automaton) -> Automaton:
     return Automaton(states, a.initials, a.alphabet, transitions)
 
 
-def epsilon_closure(a: Automaton, state: str) -> frozenset[str]:
-    if state not in a._index:
-        raise AutomatonError(f"unknown state {state!r}")
-    return _closure(a, frozenset([state]))
-
-
 def _closure(a: Automaton, states: frozenset[str]) -> frozenset[str]:
     if not a.has_hidden_moves:
         return states

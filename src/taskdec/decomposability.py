@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automata import (
-    MAX_DEPTH,
     Automaton,
     AutomatonError,
     DistributedAlphabet,
@@ -34,7 +33,7 @@ from .projection import (
 )
 from .relations import (
     RelationVerdict,
-    language_included,
+    _missing_strings,
     matches_task,
     state_language_equal,
 )
@@ -230,34 +229,6 @@ def check_dc2(
     return _check_dc12(a_s, _sets_in_order(d, sets))[1]
 
 
-def _illegal_strings(
-    composition: Automaton, a_s: Automaton, depth: int
-) -> Iterator[tuple[str, ...]]:
-    """Shortest first: strings the composition allows but the task forbids."""
-    frontier: list[tuple[tuple[str, ...], frozenset[str], frozenset[str]]] = [
-        ((), frozenset(composition.initials), frozenset(a_s.initials))
-    ]
-    events = sorted(composition.alphabet)
-    budget = 50_000
-    while frontier and budget > 0:
-        next_frontier = []
-        for string, sc, sa in frontier:
-            if len(string) == depth:
-                continue
-            for e in events:
-                budget -= 1
-                nc = frozenset(t for q in sc for t in composition.targets(q, e))
-                if not nc:
-                    continue
-                na = frozenset(t for q in sa for t in a_s.targets(q, e))
-                longer = string + (e,)
-                if not na:
-                    yield longer
-                    continue
-                next_frontier.append((longer, nc, na))
-        frontier = next_frontier
-
-
 def _weaves_outside(
     a_s: Automaton,
     starts: Iterable[str],
@@ -295,18 +266,18 @@ def _check_dc3(
     composition: Automaton,
     depth: int | None,
 ) -> ConditionReport:
-    """DC3 over the given event sets; ``composition`` composes their views."""
+    """DC3 over the given event sets; ``composition`` composes their views.
+
+    Exact mode lists the illegal strings up to two events longer than the
+    shortest one, one per boundary where the composition leaves the task.
+    """
     if depth is None:
-        inclusion = language_included(composition, a_s)
-        if inclusion.holds:
-            return ConditionReport("DC3", True)
-        shortest = inclusion.witness.string
-        sample = _illegal_strings(composition, a_s, min(MAX_DEPTH, len(shortest) + 2))
+        found = _missing_strings(composition, a_s, slack=2)
         witnesses = tuple(
             ConditionWitness(kind="illegal-string", string=s)
-            for s in itertools.islice(sample, ILLEGAL_WITNESS_CAP)
-        ) or (ConditionWitness(kind="illegal-string", string=shortest),)
-        return ConditionReport("DC3", False, witnesses)
+            for s in itertools.islice(found, ILLEGAL_WITNESS_CAP)
+        )
+        return ConditionReport("DC3", not witnesses, witnesses)
     language = sorted(_bounded_from(a_s, a_s.initials, depth))
     set_list = pairs
     shared_keys: list[tuple[int, frozenset[str]]] = []

@@ -18,13 +18,6 @@ def project_string(s: Sequence[str], events: Iterable[str]) -> tuple[str, ...]:
     return tuple(e for e in s if e in keep)
 
 
-def inverse_projection_contains(
-    t: Sequence[str], s: Sequence[str], events: Iterable[str]
-) -> bool:
-    """Is ``s`` a member of the inverse projection of ``t``?"""
-    return project_string(s, events) == tuple(t)
-
-
 def sync_product_contains(
     locals_: Mapping[str, Sequence[str]],
     sets: Mapping[str, frozenset[str]],

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .automata import (
     Automaton,
@@ -126,6 +126,21 @@ def _greatest_bisimulation(a1: Automaton, a2: Automaton) -> frozenset[tuple[str,
 
 def find_missing_string(a1: Automaton, a2: Automaton) -> tuple[str, ...] | None:
     """Shortest string accepted by a1 but not a2; ties broken lexicographically."""
+    return next(_missing_strings(a1, a2), None)
+
+
+def _missing_strings(
+    a1: Automaton, a2: Automaton, slack: int = 0
+) -> Iterator[tuple[str, ...]]:
+    """Strings accepted by a1 but not a2, one per boundary, in (length, string) order.
+
+    A boundary is a pair of run sets (a1's, a2's) that one string reaches,
+    together with an event that a1's set enables and a2's refuses.  The walk
+    visits each pair once, by its shortest and then lexicographically least
+    string, so each boundary yields exactly that string plus its event.
+    Pairs are expanded only while their strings can still yield one at most
+    ``slack`` events longer than the first.
+    """
     _require_visible(a1, a2)
     start = (frozenset(a1.initials), frozenset(a2.initials))
     seen = {start}
@@ -133,20 +148,25 @@ def find_missing_string(a1: Automaton, a2: Automaton) -> tuple[str, ...] | None:
         [(start[0], start[1], ())]
     )
     events = sorted(a1.alphabet)
+    horizon = None
     while queue:
         s1, s2, path = queue.popleft()
+        if horizon is not None and len(path) >= horizon:
+            return
         for e in events:
             n1 = _move(a1, s1, e)
             if not n1:
                 continue
             n2 = _move(a2, s2, e) if e in a2.alphabet else frozenset()
             if not n2:
-                return path + (e,)
+                if horizon is None:
+                    horizon = len(path) + 1 + slack
+                yield path + (e,)
+                continue
             key = (n1, n2)
             if key not in seen:
                 seen.add(key)
                 queue.append((n1, n2, path + (e,)))
-    return None
 
 
 def _branch_witness_one_side(a1: Automaton, a2: Automaton, side: str) -> Witness | None:

@@ -16,6 +16,7 @@ from pathlib import Path
 from .automata import (
     MAX_DEPTH,
     Automaton,
+    AutomatonError,
     DistributedAlphabet,
     build_automaton,
     run_from,
@@ -49,6 +50,13 @@ class GenParams:
     agent_count: int = 2
     max_branching: int = 3
     allow_cycles: bool = False
+
+    def __post_init__(self) -> None:
+        for name, least in (
+            ("max_states", 1), ("max_events", 1), ("agent_count", 1), ("max_branching", 0)
+        ):
+            if getattr(self, name) < least:
+                raise AutomatonError(f"{name} must be at least {least}, got {getattr(self, name)}")
 
 
 def universal_loop(events) -> Automaton:

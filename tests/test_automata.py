@@ -15,7 +15,6 @@ from taskdec.automata import (
     compose_all,
     defined,
     determinize,
-    epsilon_closure,
     name_classes,
     parallel_compose,
     run,
@@ -126,19 +125,6 @@ def test_run_follows_hidden_moves():
     )
     assert run(a, ()) == {"q0", "q1"}
     assert run(a, ("b",)) == {"q2"}
-
-
-def test_epsilon_closure_chases_chains():
-    a = build_automaton(
-        ["q0", "q1", "q2", "q3"],
-        "q0",
-        ["a"],
-        [("q0", EPSILON, "q1"), ("q1", EPSILON, "q2"), ("q2", "a", "q3")],
-    )
-    assert epsilon_closure(a, "q0") == {"q0", "q1", "q2"}
-    assert epsilon_closure(a, "q3") == {"q3"}
-    with pytest.raises(AutomatonError):
-        epsilon_closure(a, "nope")
 
 
 def test_run_from_arbitrary_states():

@@ -12,7 +12,6 @@ from taskdec.automata import (
 )
 from taskdec.projection import (
     enumerate_sync_product,
-    inverse_projection_contains,
     project_automaton,
     project_string,
     state_classes,
@@ -26,11 +25,6 @@ def test_project_string():
     assert project_string(("a", "b", "a", "c"), {"a", "c"}) == ("a", "a", "c")
     assert project_string((), {"a"}) == ()
     assert project_string(("x",), set()) == ()
-
-
-def test_inverse_projection_contains():
-    assert inverse_projection_contains(("a",), ("b", "a", "b"), {"a"})
-    assert not inverse_projection_contains(("a",), ("b", "a", "a"), {"a"})
 
 
 def test_sync_product_contains():
