@@ -12,7 +12,8 @@ the JSON form of ``decomposability_report``, ``remains_decomposable``,
 ``verify_team_under_failure`` (universal-loop plants, the views as
 controllers) and, with two agents, ``two_agent_analysis``.
 ``tests/test_cli.py`` compares the current output against that file, so any
-change to a report's bytes shows up as a test failure.
+change to a report's bytes shows up as a test failure.  When it rewrites the
+file, the script prints each entry that changed, was added or was removed.
 
 Run from the repository root after an intended output change:
 
@@ -115,9 +116,27 @@ def draw_digests() -> dict[str, str]:
     return digests
 
 
+def entry_changes(old: dict, new: dict) -> list[str]:
+    """One line per entry that changed, was added or was removed, in key order."""
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key not in new:
+            lines.append(f"removed: {key}")
+        elif key not in old:
+            lines.append(f"added: {key}")
+        elif old[key] != new[key]:
+            lines.append(f"changed: {key}")
+    return lines
+
+
 def main() -> None:
-    OUT.write_text(json.dumps(compute_digests(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {OUT}")
+    old = json.loads(OUT.read_text()) if OUT.exists() else {}
+    new = compute_digests()
+    OUT.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    changes = entry_changes(old, new)
+    for line in changes:
+        print(line)
+    print(f"wrote {OUT} ({len(changes)} of {len(new)} entries changed, added or removed)")
 
 
 if __name__ == "__main__":

@@ -54,6 +54,22 @@ def test_only_a_bare_name_falls_back_to_a_bundled_fixture(capsys):
     assert "no such scenario file" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gen", "--max-states", "0"),
+        ("gen", "--max-events", "0"),
+        ("gen", "--agents", "0"),
+        ("fuzz", "--max-states", "0"),
+    ],
+)
+def test_generator_sizes_below_one_are_input_errors(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be at least 1, got 0" in err
+
+
 def test_check_decomp_text_report_names_every_condition(capsys):
     rc, out, _ = run(capsys, "check-decomp", "ex9.scn")
     assert rc == 1
@@ -193,6 +209,18 @@ def test_report_output_is_byte_stable_on_every_fixture():
     assert sorted(actual) == sorted(expected)
     changed = [argv for argv in sorted(expected) if actual[argv] != expected[argv]]
     assert changed == []
+
+
+def test_digest_script_names_the_entries_it_moves():
+    script = _load_digest_script()
+    old = {"kept": "1", "moved": "1", "gone": "1"}
+    new = {"kept": "1", "moved": "2", "fresh": "1"}
+    assert script.entry_changes(old, new) == [
+        "added: fresh",
+        "removed: gone",
+        "changed: moved",
+    ]
+    assert script.entry_changes(new, new) == []
 
 
 def _bodies_and_relations(doc) -> list[str]:

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taskdec import decomposability
-from taskdec.automata import Automaton, bounded_language, build_automaton, run_from
+from taskdec.automata import (
+    Automaton,
+    AutomatonError,
+    bounded_language,
+    build_automaton,
+    run_from,
+)
 from taskdec.decomposability import is_decomposable
 from taskdec.failure import build_failures, passivity
 from taskdec.fixtures import load
@@ -87,6 +93,18 @@ def _slot_list_automaton(rng: random.Random, p: GenParams) -> Automaton:
         None,
         [(f"s{s}", e, f"s{t}") for (s, e), t in used.items()],
     )
+
+
+def test_gen_params_reject_sizes_nothing_can_be_drawn_from():
+    for field, bad in (
+        ("max_states", 0), ("max_events", 0), ("agent_count", 0), ("max_branching", -1)
+    ):
+        with pytest.raises(AutomatonError, match=field):
+            GenParams(**{field: bad})
+    with pytest.raises(AutomatonError, match="max_states"):
+        replace(GenParams(), max_states=-3)
+    smallest = GenParams(max_states=1, max_events=1, agent_count=1, max_branching=0)
+    assert len(gen_scenario(smallest).task_automaton.states) == 1
 
 
 @pytest.mark.parametrize("cyclic", [False, True])
