@@ -23,8 +23,15 @@ from taskdec.decomposability import (
     local_views,
     replay_condition_witness,
 )
-from taskdec.relations import replay_witness
-from taskdec.testkit import GenParams, gen_alphabet, gen_automaton, gen_scenario
+from taskdec.failure import remains_decomposable
+from taskdec.relations import language_included, replay_witness
+from taskdec.testkit import (
+    GenParams,
+    gen_alphabet,
+    gen_automaton,
+    gen_failures,
+    gen_scenario,
+)
 
 
 def simple_choice():
@@ -338,3 +345,72 @@ def test_every_violation_witness_replays(seed):
     for condition in report.conditions:
         for w in condition.witnesses:
             assert replay_condition_witness(task, d, w), (condition.condition, w)
+
+
+def _reference_illegal_strings(composition, task, depth):
+    """Every string up to ``depth`` the composition runs and the task refuses,
+    walked string by string, each with its boundary: the pair of run sets
+    before its last event, together with that event."""
+    frontier = [((), frozenset(composition.initials), frozenset(task.initials))]
+    events = sorted(composition.alphabet)
+    while frontier:
+        longer_frontier = []
+        for string, sc, sa in frontier:
+            if len(string) == depth:
+                continue
+            for e in events:
+                nc = frozenset(t for q in sc for t in composition.targets(q, e))
+                if not nc:
+                    continue
+                na = frozenset(t for q in sa for t in task.targets(q, e))
+                if not na:
+                    yield string + (e,), (sc, sa, e)
+                else:
+                    longer_frontier.append((string + (e,), nc, na))
+        frontier = longer_frontier
+
+
+def _exact_illegal_reports():
+    """(composition, task, exact DC3 or EF3 report) on seeded draws: 2-4
+    agents, at most 10 states, acyclic and cyclic, passive failures for EF3."""
+    for agents in (2, 3, 4):
+        for cyclic in (False, True):
+            for seed in range(40):
+                rng = random.Random(f"dc3-ref:{agents}:{cyclic}:{seed}")
+                p = GenParams(max_states=10, max_events=6, agent_count=agents,
+                              allow_cycles=cyclic)
+                task = gen_automaton(rng, p)
+                d = gen_alphabet(rng, task, p)
+                report = decomposability_report(task, d)
+                yield report.composition, task, report.conditions[2]
+                failed = remains_decomposable(task, d, gen_failures(rng, d))
+                yield failed.composition, task, failed.conditions[2]
+    # A larger draw that meets more boundaries (98) than the cap keeps.
+    rng = random.Random("dc3-cap:23")
+    p = GenParams(max_states=30, max_events=8, agent_count=4, max_branching=30)
+    task = gen_automaton(rng, p)
+    report = decomposability_report(task, gen_alphabet(rng, task, p))
+    yield report.composition, task, report.conditions[2]
+
+
+def test_exact_dc3_lists_one_shortest_string_per_boundary():
+    negative = capped = 0
+    for composition, task, condition in _exact_illegal_reports():
+        assert condition.condition in ("DC3", "EF3") and condition.mode == "exact"
+        inclusion = language_included(composition, task)
+        assert condition.holds == inclusion.holds
+        if condition.holds:
+            assert condition.witnesses == ()
+            continue
+        negative += 1
+        strings = [w.string for w in condition.witnesses]
+        assert strings[0] == inclusion.witness.string
+        window = len(strings[0]) + 2
+        best = {}
+        for s, boundary in _reference_illegal_strings(composition, task, window):
+            if boundary not in best or (len(s), s) < (len(best[boundary]), best[boundary]):
+                best[boundary] = s
+        expected = sorted(best.values(), key=lambda s: (len(s), s))
+        assert strings == expected[:ILLEGAL_WITNESS_CAP]
+        capped += len(expected) > ILLEGAL_WITNESS_CAP
+    assert negative > 150 and capped
