@@ -11,7 +11,9 @@ first pair, the change on the second, and so on.  Each run's total wall time
 (set-up, the measured run and the harness's own checks) is printed as it
 ends.  At the end, each metric named in CHANGE_DIR's ``BENCHMARK.json`` gets
 the median and quartiles of each side and the number of pairs each side won
-by the metric's direction; ties count for neither side.
+by the metric's direction; ties count for neither side.  A last row gives
+each side's run wall-time quartiles and the change/parent ratio of their
+medians.
 """
 from __future__ import annotations
 
@@ -85,13 +87,31 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> list[dict]:
     return rows
 
 
+def wall_row(walls: list[dict]) -> dict:
+    """Each side's run wall-time quartiles and the change/parent median ratio.
+
+    ``walls`` holds one ``{"parent": seconds, "change": seconds}`` per seed.
+    """
+    row = {"metric": "run_wall_s", "better": "lower"}
+    for side in SIDES:
+        row[side] = quartiles([w[side] for w in walls])
+    row["ratio"] = row["change"][1] / row["parent"][1]
+    return row
+
+
 def format_summary(rows: list[dict], pair_count: int) -> str:
+    """One line per row; a row with a ``ratio`` (see ``wall_row``) prints it
+    where the others print their wins."""
     lines = [f"{'metric':20s} {'better':6s}  {'parent q1 / median / q3':>30s}  "
              f"{'change q1 / median / q3':>30s}  wins parent:change of {pair_count}"]
     for row in rows:
         cells = ["{:>9.4g} {:>9.4g} {:>9.4g}".format(*row[side]) for side in SIDES]
+        if "ratio" in row:
+            last = f"change/parent median {row['ratio']:.3f}"
+        else:
+            last = f"{row['wins']['parent']}:{row['wins']['change']}"
         lines.append(f"{row['metric']:20s} {row['better']:6s}  {cells[0]:>30s}  {cells[1]:>30s}  "
-                     f"{row['wins']['parent']}:{row['wins']['change']}")
+                     + last)
     return "\n".join(lines)
 
 
@@ -105,18 +125,20 @@ def main(argv=None) -> int:
     checkouts = {"parent": args.parent, "change": args.change}
     listed = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     better = {m["name"]: m["better"] for m in listed}
-    pairs = []
+    pairs, walls = [], []
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {}
+        pair, wall = {}, {}
         for side in order:
             run = run_side(checkouts[side], args.workload, seed)
             pair[side] = run["metrics"]
+            wall[side] = run["wall_s"]
             print(f"seed {seed} {side}: wall {run['wall_s']:.1f} s, "
                   f"{run['failed']} of {run['attempted']} failed, "
                   f"{json.dumps(run['metrics'], sort_keys=True)}", flush=True)
         pairs.append(pair)
-    print(format_summary(summarise(pairs, better), len(pairs)))
+        walls.append(wall)
+    print(format_summary(summarise(pairs, better) + [wall_row(walls)], len(pairs)))
     return 0
 
 

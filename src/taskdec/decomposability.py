@@ -11,6 +11,7 @@ so the conjunction agrees with the oracle.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -90,8 +91,12 @@ class DecompReport:
     oracle: RelationVerdict
     consistent: bool
     locals_: tuple[tuple[str, Automaton], ...]
-    composition: Automaton
     two_agent: TwoAgentReport | None = None
+
+    @functools.cached_property
+    def composition(self) -> Automaton:
+        """The composed local views, built on first access."""
+        return compose_all([v for _, v in self.locals_])
 
 
 def _require_task(a_s: Automaton) -> None:
@@ -255,47 +260,29 @@ def check_dc3(
     task string itself.
     """
     _require_task(a_s)
-    pairs = _sets_in_order(d, sets)
-    composition = compose_all([project_automaton(a_s, events) for _, events in pairs])
-    return _check_dc3(a_s, pairs, composition, depth)
+    return _check_dc3(a_s, local_views(a_s, d, sets), depth)
 
 
 def _check_dc3(
-    a_s: Automaton,
-    pairs: Sequence[tuple[str, frozenset[str]]],
-    composition: Automaton,
-    depth: int | None,
+    a_s: Automaton, views: Sequence[tuple[str, Automaton]], depth: int | None
 ) -> ConditionReport:
-    """DC3 over the given event sets; ``composition`` composes their views.
+    """DC3 over the given (agent, view) pairs; each view's alphabet is its agent's set.
 
     Exact mode lists the illegal strings up to two events longer than the
-    shortest one, one per boundary where the composition leaves the task.
+    shortest one, one per boundary where the composed views leave the task.
     """
     if depth is None:
-        found = _missing_strings(composition, a_s, slack=2)
+        found = _missing_strings([v for _, v in views], a_s, slack=2)
         witnesses = tuple(
             ConditionWitness(kind="illegal-string", string=s)
             for s in itertools.islice(found, ILLEGAL_WITNESS_CAP)
         )
         return ConditionReport("DC3", not witnesses, witnesses)
     language = sorted(_bounded_from(a_s, a_s.initials, depth))
-    set_list = pairs
-    shared_keys: list[tuple[int, frozenset[str]]] = []
-    for i, j in itertools.combinations(range(len(set_list)), 2):
-        shared = set_list[i][1] & set_list[j][1]
-        if shared:
-            shared_keys.append((i * len(set_list) + j, shared))
-
-    def anchors(s: tuple[str, ...]) -> frozenset[tuple[int, str]]:
-        out = set()
-        for key, shared in shared_keys:
-            p = project_string(s, shared)
-            if p:
-                out.add((key, p[0]))
-        return frozenset(out)
-
-    core = [s for s in language if anchors(s)]
-    n = len(set_list)
+    sets = {agent: view.alphabet for agent, view in views}
+    shared = frozenset().union(*(x & y for x, y in itertools.combinations(sets.values(), 2)))
+    core = [s for s in language if not shared.isdisjoint(s)]
+    n = len(sets)
     if len(core) ** n > TUPLE_BUDGET:
         raise AutomatonError(
             "bounded interleaving check is too large here; use exact mode"
@@ -305,9 +292,8 @@ def _check_dc3(
         if all(x == combo[0] for x in combo):
             continue
         vectors.add(
-            tuple(project_string(s, events) for s, (_, events) in zip(combo, set_list))
+            tuple(project_string(s, events) for s, events in zip(combo, sets.values()))
         )
-    agents, sets = [agent for agent, _ in set_list], dict(set_list)
     found = (
         ConditionWitness(
             kind="illegal-interleaving",
@@ -315,7 +301,7 @@ def _check_dc3(
             note="woven from " + " | ".join(" ".join(p) or "(empty)" for p in vector),
         )
         for vector in sorted(vectors)
-        for member in _weaves_outside(a_s, a_s.initials, dict(zip(agents, vector)), sets)
+        for member in _weaves_outside(a_s, a_s.initials, dict(zip(sets, vector)), sets)
     )
     witnesses = tuple(itertools.islice(found, ILLEGAL_WITNESS_CAP))
     notes = (f"interleaving closure holds {len(core)} of {len(language)} strings",)
@@ -502,14 +488,13 @@ def decomposability_report(
         )
     sets = _sets_in_order(d, None)
     views = local_views(a_s, d)
-    composition = compose_all([v for _, v in views])
     conditions = (
         *_check_dc12(a_s, sets),
-        _check_dc3(a_s, sets, composition, depth),
+        _check_dc3(a_s, views, depth),
         check_dc4(a_s, d),
     )
     conjunction = all(c.holds for c in conditions)
-    oracle = matches_task([composition], a_s)
+    oracle = matches_task([v for _, v in views], a_s)
     two_agent = None
     if len(d.agents) == 2:
         first, second = (events for _, events in sets)
@@ -529,7 +514,6 @@ def decomposability_report(
         oracle=oracle,
         consistent=conjunction == oracle.holds,
         locals_=views,
-        composition=composition,
         two_agent=two_agent,
     )
 
@@ -574,9 +558,12 @@ def replay_condition_witness(
                 w.string,
             ) if len(w.sources) == len(sets_map) else True
             return runnable and woven and not run_from(a_s, [w.state], w.string)
-        views = local_views(a_s, d, sets)
-        composition = compose_all([v for _, v in views])
-        return defined(composition, w.string) and not defined(a_s, w.string)
+        # The composed views run exactly the owned strings each view runs projected.
+        views = [v for _, v in local_views(a_s, d, sets)]
+        owned = frozenset().union(*(v.alphabet for v in views))
+        return owned.issuperset(w.string) and not defined(a_s, w.string) and all(
+            defined(v, project_string(w.string, v.alphabet)) for v in views
+        )
     if w.kind == "conflicting-branches":
         sets_map = dict(pairs)
         view = project_automaton(a_s, sets_map[w.agent])

@@ -9,6 +9,7 @@ outright, so the composed team blocks it everywhere.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -214,13 +215,12 @@ def _failed_views(
 
 def _pre_and_post(
     a_s: Automaton, d: DistributedAlphabet, f: FailureSpec, pv: PassivityVerdict
-) -> tuple[RelationVerdict, tuple[tuple[str, Automaton], ...], Automaton]:
-    """Project each view once: the pre-failure verdict, the failed views and
-    their composition."""
+) -> tuple[RelationVerdict, tuple[tuple[str, Automaton], ...], RelationVerdict]:
+    """Project each view once: the pre-failure verdict, the failed views, the post-failure one."""
     views = local_views(a_s, d)
     pre = matches_task([v for _, v in views], a_s)
     failed = _failed_views(views, f, pv)
-    return pre, failed, compose_all([v for _, v in failed])
+    return pre, failed, matches_task([v for _, v in failed], a_s)
 
 
 def _ef4_literal(
@@ -403,12 +403,16 @@ class FailureReport:
     conditions: tuple[ConditionReport, ...]
     conjunction: bool | None
     failed_locals: tuple[tuple[str, Automaton], ...]
-    composition: Automaton
     oracle: RelationVerdict
     remains: bool
     predicted: bool | None
     consistent: bool
     notes: tuple[str, ...]
+
+    @functools.cached_property
+    def composition(self) -> Automaton:
+        """The composed failed views, built on first access."""
+        return compose_all([v for _, v in self.failed_locals])
 
 
 def remains_decomposable(
@@ -421,16 +425,16 @@ def remains_decomposable(
 
     The pipeline classifies passivity, evaluates the four post-failure
     conditions when every failure is passive, and always closes with the
-    oracle: composing the failed local views and comparing against the task.
+    oracle: the failed local views, composed, compared against the task.
     With passive failures each failed view is, up to state names, the task
-    projected onto the agent's refined set, so exact EF3 reads the oracle's
-    composition.  With a ``depth``, EF3 is the bounded interleaving reading.
+    projected onto the agent's refined set, so EF3 reads the failed views.
+    With a ``depth``, EF3 is the bounded interleaving reading.
     """
     _require_task(a_s)
     pv = passivity(d, f)
     sigma_map = _refined(d, pv)
     sigma = tuple((agent, sigma_map[agent]) for agent in d.agents)
-    pre, failed_locals, composition = _pre_and_post(a_s, d, f, pv)
+    pre, failed_locals, oracle = _pre_and_post(a_s, d, f, pv)
     notes: list[str] = []
     if not pre.holds:
         notes.append("the task does not decompose even before failures")
@@ -443,13 +447,12 @@ def remains_decomposable(
     if pv.all_passive:
         conditions = (
             *_check_dc12(a_s, sigma, ("EF1", "EF2")),
-            replace(_check_dc3(a_s, sigma, composition, depth), condition="EF3"),
+            replace(_check_dc3(a_s, failed_locals, depth), condition="EF3"),
             _check_ef4(a_s, d, f, sigma_map),
         )
         conjunction = all(c.holds for c in conditions)
     else:
         notes.append("condition checks skipped: they require passive failures")
-    oracle = matches_task([composition], a_s)
     remains = oracle.holds
     predicted = conjunction if pv.all_passive else None
     dual_ok = all(ef_dual_agreement(c) for c in conditions if c.condition == "EF4")
@@ -465,7 +468,6 @@ def remains_decomposable(
         conditions=conditions,
         conjunction=conjunction,
         failed_locals=failed_locals,
-        composition=composition,
         oracle=oracle,
         remains=remains,
         predicted=predicted,
@@ -535,7 +537,7 @@ def two_agent_analysis(
     _require_task(a_s)
     pv = passivity(d, f)
     sigma = _refined(d, pv)
-    pre, _, composition = _pre_and_post(a_s, d, f, pv)
+    pre, _, oracle = _pre_and_post(a_s, d, f, pv)
     notes: list[str] = []
     identities = None
     pair_spaces = None
@@ -581,7 +583,6 @@ def two_agent_analysis(
         )
     else:
         notes.append("identity and pair-space sections need passive failures")
-    oracle = matches_task([composition], a_s)
     whole_agent = []
     for agent, full, lost in ((one, e1_set, f1), (two, e2_set, f2)):
         if lost == full and full:

@@ -126,36 +126,44 @@ def _greatest_bisimulation(a1: Automaton, a2: Automaton) -> frozenset[tuple[str,
 
 def find_missing_string(a1: Automaton, a2: Automaton) -> tuple[str, ...] | None:
     """Shortest string accepted by a1 but not a2; ties broken lexicographically."""
-    return next(_missing_strings(a1, a2), None)
+    return next(_missing_strings([a1], a2), None)
 
 
 def _missing_strings(
-    a1: Automaton, a2: Automaton, slack: int = 0
+    parts: Sequence[Automaton], a2: Automaton, slack: int = 0
 ) -> Iterator[tuple[str, ...]]:
-    """Strings accepted by a1 but not a2, one per boundary, in (length, string) order.
+    """Strings the composed ``parts`` accept and a2 does not, one per boundary,
+    in (length, string) order.
 
-    A boundary is a pair of run sets (a1's, a2's) that one string reaches,
-    together with an event that a1's set enables and a2's refuses.  The walk
-    visits each pair once, by its shortest and then lexicographically least
-    string, so each boundary yields exactly that string plus its event.
-    Pairs are expanded only while their strings can still yield one at most
-    ``slack`` events longer than the first.
+    Parts have no hidden moves, so the composed states a string reaches are
+    the tuples of the states each part reaches by its projection: the walk
+    keeps one run set per part and steps only each event's owners.  A
+    boundary is a pair of run sets (the parts', a2's) that one string
+    reaches, together with an event the parts enable and a2 refuses.  The
+    walk visits each pair once, by its shortest and then least string, so
+    each boundary yields exactly that string plus its event.  Pairs are
+    expanded only while their strings can still yield one at most ``slack``
+    events longer than the first.
     """
-    _require_visible(a1, a2)
-    start = (frozenset(a1.initials), frozenset(a2.initials))
+    _require_visible(*parts, a2)
+    owners: dict[str, list[int]] = {}
+    for i, a in enumerate(parts):
+        for e in a.alphabet:
+            owners.setdefault(e, []).append(i)
+    start = (tuple(frozenset(a.initials) for a in parts), frozenset(a2.initials))
     seen = {start}
-    queue: deque[tuple[frozenset[str], frozenset[str], tuple[str, ...]]] = deque(
-        [(start[0], start[1], ())]
-    )
-    events = sorted(a1.alphabet)
+    queue = deque([(start, ())])
+    events = sorted(owners)
     horizon = None
     while queue:
-        s1, s2, path = queue.popleft()
+        (sets, s2), path = queue.popleft()
         if horizon is not None and len(path) >= horizon:
             return
         for e in events:
-            n1 = _move(a1, s1, e)
-            if not n1:
+            n1 = list(sets)
+            for i in owners[e]:
+                n1[i] = _move(parts[i], sets[i], e)
+            if not all(n1):
                 continue
             n2 = _move(a2, s2, e) if e in a2.alphabet else frozenset()
             if not n2:
@@ -163,10 +171,10 @@ def _missing_strings(
                     horizon = len(path) + 1 + slack
                 yield path + (e,)
                 continue
-            key = (n1, n2)
+            key = (tuple(n1), n2)
             if key not in seen:
                 seen.add(key)
-                queue.append((n1, n2, path + (e,)))
+                queue.append((key, path + (e,)))
 
 
 def _branch_witness_one_side(a1: Automaton, a2: Automaton, side: str) -> Witness | None:

@@ -57,6 +57,9 @@ class GenParams:
         ):
             if getattr(self, name) < least:
                 raise AutomatonError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        most = len(EVENT_POOL)
+        if self.max_events > most:
+            raise AutomatonError(f"max_events must be at most {most}, got {self.max_events}")
 
 
 def universal_loop(events) -> Automaton:

@@ -48,3 +48,17 @@ def test_one_pair_has_its_value_as_every_quartile():
     rows = ab.summarise([{"parent": {"m": 2.0}, "change": {"m": 1.0}}], {"m": "lower"})
     assert rows[0]["parent"] == (2.0, 2.0, 2.0)
     assert rows[0]["wins"] == {"parent": 0, "change": 1}
+
+
+def test_wall_row_reports_each_sides_quartiles_and_the_median_ratio():
+    walls = [{"parent": p, "change": c} for p, c in
+             zip([52.8, 53.0, 52.6, 53.4, 52.9], [57.7, 57.9, 57.5, 58.1, 57.8])]
+    row = ab.wall_row(walls)
+    assert row["parent"] == pytest.approx((52.7, 52.9, 53.2))
+    assert row["change"] == pytest.approx((57.6, 57.8, 58.0))
+    assert row["ratio"] == pytest.approx(57.8 / 52.9)
+    rows = ab.summarise([{"parent": {"m": 2.0}, "change": {"m": 1.0}}], {"m": "lower"})
+    lines = ab.format_summary(rows + [row], 5).splitlines()
+    assert lines[1].endswith("0:1")
+    assert lines[2].startswith("run_wall_s") and lines[2].endswith("change/parent median 1.093")
+    assert "52.9" in lines[2] and "57.8" in lines[2]

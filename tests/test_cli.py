@@ -70,6 +70,13 @@ def test_generator_sizes_below_one_are_input_errors(capsys, argv):
     assert "must be at least 1, got 0" in err
 
 
+def test_generator_event_counts_past_the_event_pool_are_input_errors(capsys):
+    rc, out, err = run(capsys, "gen", "--max-events", "9")
+    assert (rc, out, err) == (2, "", "error: max_events must be at most 8, got 9\n")
+    rc, out, _ = run(capsys, "gen", "--max-events", "8")
+    assert rc == 0 and out
+
+
 def test_check_decomp_text_report_names_every_condition(capsys):
     rc, out, _ = run(capsys, "check-decomp", "ex9.scn")
     assert rc == 1
@@ -258,8 +265,8 @@ def test_report_json_carries_counts_not_bodies(capsys, command):
         key = "final" if command == "verify" else "oracle"
         assert set(doc[key]) == {"holds", "witness"}
         assert doc[key]["holds"] is (rc == 0)
+        assert "composition" not in doc
         if command == "check-decomp":
-            assert set(doc["composition"]) == {"states", "transitions"}
             assert all(set(view) == {"states", "transitions"} for _, view in doc["locals_"])
 
 

@@ -1,19 +1,23 @@
 """The four conditions against their compositional oracle, plus witness replay."""
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taskdec import automata, decomposability, failure, relations
 from taskdec.automata import (
     MAX_DEPTH,
     AutomatonError,
     build_alphabet,
     build_automaton,
+    compose_all,
     defined,
 )
 from taskdec.decomposability import (
     ILLEGAL_WITNESS_CAP,
+    ConditionWitness,
     check_dc1,
     check_dc2,
     check_dc3,
@@ -24,6 +28,7 @@ from taskdec.decomposability import (
     replay_condition_witness,
 )
 from taskdec.failure import remains_decomposable
+from taskdec.fixtures import fixture_names, load
 from taskdec.relations import language_included, replay_witness
 from taskdec.testkit import (
     GenParams,
@@ -414,3 +419,54 @@ def test_exact_dc3_lists_one_shortest_string_per_boundary():
         assert strings == expected[:ILLEGAL_WITNESS_CAP]
         capped += len(expected) > ILLEGAL_WITNESS_CAP
     assert negative > 150 and capped
+
+
+def _illegal_string_cases():
+    """(task, alphabet, event sets, witness) for every exact DC3/EF3 witness on
+    the bundled fixtures and on seeded draws: 2-4 agents, 4-16 states,
+    acyclic and cyclic, passive failures for EF3."""
+    scenarios = [load(name) for name in fixture_names()]
+    scenarios += [
+        gen_scenario(GenParams(seed=seed, max_states=4 + seed % 13, max_events=6,
+                               agent_count=2 + seed % 3, allow_cycles=seed % 2 == 1,
+                               max_branching=4))
+        for seed in range(100)
+    ]
+    for i, sc in enumerate(scenarios):
+        task, d = sc.task_automaton, sc.d
+        for w in decomposability_report(task, d).conditions[2].witnesses:
+            yield task, d, None, w
+        fr = remains_decomposable(task, d, gen_failures(random.Random(f"replay:{i}"), d))
+        for w in fr.conditions[2].witnesses if fr.conditions else ():
+            yield task, d, dict(fr.sigma), w
+
+
+def test_illegal_strings_replay_view_by_view(monkeypatch):
+    # Each witness string, the same string with its last event swapped for
+    # every task event and for an event no agent owns, replays exactly when
+    # the composed views run it and the task does not.
+    cases = []
+    for task, d, sets, w in _illegal_string_cases():
+        assert w.kind == "illegal-string"
+        composition = compose_all([v for _, v in local_views(task, d, sets)])
+        for last in (w.string[-1], *sorted(task.alphabet), "unowned"):
+            s = w.string[:-1] + (last,)
+            expected = defined(composition, s) and not defined(task, s)
+            cases.append((task, d, sets, replace(w, string=s), expected))
+
+    def refuse(*args):
+        raise AssertionError("replay composed the views")
+
+    for module in (automata, relations, decomposability, failure):
+        monkeypatch.setattr(module, "compose_all", refuse)
+    witnesses = unowned = unrunnable = 0
+    for task, d, sets, w, expected in cases:
+        assert replay_condition_witness(task, d, w, sets) == expected, w
+        witnesses += expected
+        unowned += w.string[-1] == "unowned"
+        unrunnable += not expected and w.string[-1] != "unowned" and not defined(task, w.string)
+    assert witnesses > 900 and unowned > 300 and unrunnable > 300
+    task, d = simple_choice()
+    assert replay_condition_witness(task, d, ConditionWitness("illegal-string", string=("a", "b")))
+    assert not replay_condition_witness(task, d, ConditionWitness("illegal-string", string=("a", "c")))
+    assert not replay_condition_witness(task, d, ConditionWitness("illegal-string", string=("a", "a")))

@@ -13,7 +13,7 @@ from taskdec.automata import (
     build_automaton,
     run,
 )
-from taskdec import decomposability, failure, topdown
+from taskdec import decomposability, failure, relations, topdown
 from taskdec.decomposability import decomposability_report, replay_condition_witness
 from taskdec.failure import (
     FailureSpec,
@@ -388,8 +388,8 @@ def test_generated_passive_failures_are_passive(seed):
 
 
 def test_each_report_classifies_composes_and_builds_loops_once(scn, monkeypatch):
-    # A report computes passivity, the composition and each closed loop once
-    # and hands them to its helpers.
+    # A report computes passivity and each closed loop once and hands them to
+    # its helpers.  It composes only to explain a negative oracle verdict.
     calls = Counter()
 
     def count(module, name):
@@ -402,12 +402,21 @@ def test_each_report_classifies_composes_and_builds_loops_once(scn, monkeypatch)
         monkeypatch.setattr(module, name, counted)
 
     count(failure, "passivity")
+    count(relations, "compose_all")
     count(decomposability, "compose_all")
     count(topdown, "closed_loop")
     sc = scn("ex6")
     assert remains_decomposable(sc.task_automaton, sc.d, sc.failures).passivity.all_passive
     assert calls["passivity"] == 1
-    decomposability_report(sc.task_automaton, sc.d)
+    assert decomposability_report(sc.task_automaton, sc.d).oracle.holds
+    assert calls["compose_all"] == 0
+    sc = scn("ex9")
+    assert not decomposability_report(sc.task_automaton, sc.d).oracle.holds
     assert calls["compose_all"] == 1
+    sc = scn("ex4")
+    fr = remains_decomposable(sc.task_automaton, sc.d, sc.failures)
+    assert fr.pre.holds and not fr.oracle.holds
+    assert calls["compose_all"] == 2
+    sc = scn("ex6")
     verify_team_under_failure(sc.team_design())
     assert calls["closed_loop"] == len(sc.d.agents)

@@ -28,6 +28,7 @@ from taskdec.relations import (
     RelationVerdict,
     Witness,
     _greatest_bisimulation,
+    _missing_strings,
     bisimilar,
     find_missing_string,
     language_included,
@@ -361,6 +362,28 @@ def test_matches_task_is_bisimilar_of_the_composition():
             counts["holding"] += expected[0] is True
             counts["nondeterministic_parts"] += not all(v.deterministic for v in parts)
     assert counts["holding"] > 100 and counts["nondeterministic_parts"] > 100, counts
+
+
+def test_missing_strings_of_the_parts_are_those_of_their_composition():
+    # Each part steps alone on the events it owns, so the walk over the parts
+    # visits the pairs of the walk over their composition in the same order.
+    rng = random.Random("missing-strings")
+    counts = {"cases": 0, "negative": 0, "several": 0}
+    for seed in range(90):
+        p = GenParams(seed=seed, max_states=4 + seed % 17, max_events=6,
+                      agent_count=2 + seed % 3, allow_cycles=seed % 2 == 1,
+                      max_branching=4)
+        sc = gen_scenario(p)
+        task, d = sc.task_automaton, sc.d
+        for parts in _part_lists(rng, task, d):
+            composed = [compose_all(parts)]
+            for slack in (0, 2):
+                expected = list(_missing_strings(composed, task, slack))
+                assert list(_missing_strings(parts, task, slack)) == expected
+                counts["cases"] += 1
+                counts["negative"] += bool(expected)
+                counts["several"] += len(expected) > 1
+    assert counts["negative"] > 600 and counts["several"] > 300, counts
 
 
 def test_matches_task_on_small_cases_and_errors():

@@ -103,6 +103,8 @@ def test_gen_params_reject_sizes_nothing_can_be_drawn_from():
             GenParams(**{field: bad})
     with pytest.raises(AutomatonError, match="max_states"):
         replace(GenParams(), max_states=-3)
+    with pytest.raises(AutomatonError, match="max_events must be at most 8, got 9"):
+        GenParams(max_events=9)
     smallest = GenParams(max_states=1, max_events=1, agent_count=1, max_branching=0)
     assert len(gen_scenario(smallest).task_automaton.states) == 1
 
