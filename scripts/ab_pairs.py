@@ -106,12 +106,10 @@ def format_summary(rows: list[dict], pair_count: int) -> str:
              f"{'change q1 / median / q3':>30s}  wins parent:change of {pair_count}"]
     for row in rows:
         cells = ["{:>9.4g} {:>9.4g} {:>9.4g}".format(*row[side]) for side in SIDES]
-        if "ratio" in row:
-            last = f"change/parent median {row['ratio']:.3f}"
-        else:
-            last = f"{row['wins']['parent']}:{row['wins']['change']}"
+        last = (f"change/parent median {row['ratio']:.3f}" if "ratio" in row
+                else f"{row['wins']['parent']}:{row['wins']['change']}")
         lines.append(f"{row['metric']:20s} {row['better']:6s}  {cells[0]:>30s}  {cells[1]:>30s}  "
-                     + last)
+                     f"{last}")
     return "\n".join(lines)
 
 
