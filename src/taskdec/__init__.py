@@ -35,7 +35,7 @@ from .failure import (
     check_ef,
     comm_maps,
     passivity,
-    refined_alphabets,
+    refined_alphabet,
     remains_decomposable,
     two_agent_analysis,
 )

@@ -16,7 +16,7 @@ from pathlib import Path
 from .automata import Automaton, AutomatonError, compose_all
 from .decomposability import decomposability_report
 from .dot import dot_export
-from .failure import refined_alphabets, remains_decomposable
+from .failure import refined_alphabet, remains_decomposable
 from .projection import project_automaton
 from .relations import RelationVerdict, Witness, bisimilar
 from .scenario import Scenario, ScenarioError, automaton_block, emit, parse_scenario
@@ -122,11 +122,8 @@ def _verdict_line(label: str, v: RelationVerdict, positive: str, negative: str) 
 
 def cmd_project(args) -> int:
     sc, _ = _load_scenario(args.scenario)
-    if args.refined:
-        events = refined_alphabets(sc.d, sc.failures)[args.agent]
-    else:
-        events = sc.d.local(args.agent)
-    view = project_automaton(sc.task_automaton, events)
+    d = refined_alphabet(sc.d, sc.failures) if args.refined else sc.d
+    view = project_automaton(sc.task_automaton, d.local(args.agent))
     name = f"view_{args.agent}"
     if args.json:
         _print_json(view)
@@ -178,12 +175,6 @@ def cmd_check_decomp(args) -> int:
             _print_condition_witness(w)
     _verdict_line("oracle", report.oracle, "decomposable", "not decomposable")
     print(f"conditions vs oracle: {'consistent' if report.consistent else 'INCONSISTENT'}")
-    if report.two_agent:
-        ta = report.two_agent
-        print(
-            "two-agent pair reading: "
-            + ("consistent" if ta.consistent_with_oracle else "INCONSISTENT")
-        )
     return 0 if report.oracle.holds else 1
 
 

@@ -68,22 +68,6 @@ class ConditionReport:
 
 
 @dataclass(frozen=True)
-class TwoAgentReport:
-    """Private-pair forms of DC1/DC2 plus a bounded pairwise reading of DC3.
-
-    With two agents a pair of events escapes co-location only when each is
-    private to a different agent, so the restricted checks agree with the
-    full ones; they are reported separately because the restricted pair
-    space is what the two-agent theory talks about.
-    """
-
-    dc1_private_pairs: ConditionReport
-    dc2_private_pairs: ConditionReport
-    dc3_pairwise: ConditionReport
-    consistent_with_oracle: bool
-
-
-@dataclass(frozen=True)
 class DecompReport:
     agents: tuple[str, ...]
     conditions: tuple[ConditionReport, ...]
@@ -91,7 +75,7 @@ class DecompReport:
     oracle: RelationVerdict
     consistent: bool
     locals_: tuple[tuple[str, Automaton], ...]
-    two_agent: TwoAgentReport | None = None
+    dc3_pairwise: ConditionReport | None = None
 
     @functools.cached_property
     def composition(self) -> Automaton:
@@ -104,30 +88,15 @@ def _require_task(a_s: Automaton) -> None:
         raise AutomatonError("the task automaton must be deterministic")
 
 
-def _sets_in_order(
-    d: DistributedAlphabet, sets: Mapping[str, frozenset[str]] | None
-) -> list[tuple[str, frozenset[str]]]:
-    if sets is None:
-        return [(a, d.local(a)) for a in d.agents]
-    extra = set(sets) - set(d.agents)
-    if extra:
-        raise AutomatonError(f"event sets for unknown agents: {sorted(extra)}")
-    return [(a, frozenset(sets[a])) for a in d.agents if a in sets]
+def _colocated(e1: str, e2: str, d: DistributedAlphabet) -> bool:
+    return any(e1 in events and e2 in events for events in d.local_sets)
 
 
-def _colocated(e1: str, e2: str, sets: Sequence[tuple[str, frozenset[str]]]) -> bool:
-    return any(e1 in events and e2 in events for _, events in sets)
-
-
-def local_views(
-    a_s: Automaton,
-    d: DistributedAlphabet,
-    sets: Mapping[str, frozenset[str]] | None = None,
-) -> tuple[tuple[str, Automaton], ...]:
+def local_views(a_s: Automaton, d: DistributedAlphabet) -> tuple[tuple[str, Automaton], ...]:
     """Each agent's projection of the task, in agent order."""
     return tuple(
         (agent, project_automaton(a_s, events))
-        for agent, events in _sets_in_order(d, sets)
+        for agent, events in zip(d.agents, d.local_sets)
     )
 
 
@@ -139,8 +108,8 @@ def _pair_findings(
     Switch: where both events are enabled, both orders must run.  Order:
     where either order runs, both must, and they must reach states with the
     same future.  Returns the switch and the order witnesses, state-major and
-    in ``pairs`` order.  DC1/DC2, EF1/EF2 and every two-agent pair space are
-    this one requirement over different pairs.
+    in ``pairs`` order.  DC1/DC2, EF1/EF2 and the two-agent failure pair spaces
+    are this one requirement over different pairs.
     """
     switch: list[ConditionWitness] = []
     order: list[ConditionWitness] = []
@@ -191,14 +160,14 @@ def _with_note(w: ConditionWitness) -> ConditionWitness:
 
 def _check_dc12(
     a_s: Automaton,
-    sets: Sequence[tuple[str, frozenset[str]]],
+    d: DistributedAlphabet,
     names: tuple[str, str] = ("DC1", "DC2"),
 ) -> tuple[ConditionReport, ConditionReport]:
     """DC1 and DC2 from one pass over the event pairs no agent sees together."""
     pairs = [
         (e1, e2)
         for e1, e2 in itertools.combinations(sorted(a_s.alphabet), 2)
-        if not _colocated(e1, e2, sets)
+        if not _colocated(e1, e2, d)
     ]
     return tuple(
         ConditionReport(name, not found, tuple(_with_note(w) for w in found))
@@ -206,32 +175,24 @@ def _check_dc12(
     )
 
 
-def check_dc1(
-    a_s: Automaton,
-    d: DistributedAlphabet,
-    sets: Mapping[str, frozenset[str]] | None = None,
-) -> ConditionReport:
+def check_dc1(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
     """Choices between two enabled events must be decidable somewhere.
 
     Either one agent sees both events, or the choice must not matter: both
     orders have to be possible.
     """
     _require_task(a_s)
-    return _check_dc12(a_s, _sets_in_order(d, sets))[0]
+    return _check_dc12(a_s, d)[0]
 
 
-def check_dc2(
-    a_s: Automaton,
-    d: DistributedAlphabet,
-    sets: Mapping[str, frozenset[str]] | None = None,
-) -> ConditionReport:
+def check_dc2(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
     """Where no agent sees both events, their order must never matter.
 
     If one order of two events can run from a state, the other order must run
     too, and the two orders must allow exactly the same continuations.
     """
     _require_task(a_s)
-    return _check_dc12(a_s, _sets_in_order(d, sets))[1]
+    return _check_dc12(a_s, d)[1]
 
 
 def _weaves_outside(
@@ -246,10 +207,7 @@ def _weaves_outside(
 
 
 def check_dc3(
-    a_s: Automaton,
-    d: DistributedAlphabet,
-    sets: Mapping[str, frozenset[str]] | None = None,
-    depth: int | None = None,
+    a_s: Automaton, d: DistributedAlphabet, depth: int | None = None
 ) -> ConditionReport:
     """No interleaving reassembled from the local views may escape the task.
 
@@ -260,7 +218,7 @@ def check_dc3(
     task string itself.
     """
     _require_task(a_s)
-    return _check_dc3(a_s, local_views(a_s, d, sets), depth)
+    return _check_dc3(a_s, local_views(a_s, d), depth)
 
 
 def _check_dc3(
@@ -308,11 +266,7 @@ def _check_dc3(
     return ConditionReport("DC3", not witnesses, witnesses, mode="bounded", notes=notes)
 
 
-def check_dc4(
-    a_s: Automaton,
-    d: DistributedAlphabet,
-    sets: Mapping[str, frozenset[str]] | None = None,
-) -> ConditionReport:
+def check_dc4(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
     """No local state an agent may sit in refuses an own event the task allows.
 
     Walks pairs (task state, local view state) per agent: the task moves
@@ -330,7 +284,7 @@ def check_dc4(
     """
     _require_task(a_s)
     witnesses = []
-    for agent, events in _sets_in_order(d, sets):
+    for agent, events in zip(d.agents, d.local_sets):
         view, of_state = _project_with_classes(a_s, events)
         witnesses.extend(_refusal_witnesses(a_s, view, of_state, events, agent))
     return ConditionReport("DC4", not witnesses, tuple(witnesses))
@@ -421,14 +375,10 @@ def branch_refuses(view: Automaton, x1: str, x2: str, string: Sequence[str]) -> 
     )
 
 
-def is_decomposable(
-    a_s: Automaton,
-    d: DistributedAlphabet,
-    sets: Mapping[str, frozenset[str]] | None = None,
-) -> RelationVerdict:
+def is_decomposable(a_s: Automaton, d: DistributedAlphabet) -> RelationVerdict:
     """Ground truth: do the composed local views match the task step for step?"""
     _require_task(a_s)
-    return matches_task([v for _, v in local_views(a_s, d, sets)], a_s)
+    return matches_task([v for _, v in local_views(a_s, d)], a_s)
 
 
 def _check_dc3_pairwise(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
@@ -478,7 +428,8 @@ def decomposability_report(
     """Run everything: the four conditions, the oracle, and their agreement.
 
     DC3 is read exactly unless ``depth`` is given; then it is the bounded
-    interleaving reading at that depth.
+    interleaving reading at that depth.  With two agents the report also
+    carries the pairwise DC3 reading, which feeds no verdict.
     """
     _require_task(a_s)
     missing = a_s.alphabet - d.alphabet
@@ -486,27 +437,14 @@ def decomposability_report(
         raise AutomatonError(
             f"task events not owned by any agent: {sorted(missing)}"
         )
-    sets = _sets_in_order(d, None)
     views = local_views(a_s, d)
     conditions = (
-        *_check_dc12(a_s, sets),
+        *_check_dc12(a_s, d),
         _check_dc3(a_s, views, depth),
         check_dc4(a_s, d),
     )
     conjunction = all(c.holds for c in conditions)
     oracle = matches_task([v for _, v in views], a_s)
-    two_agent = None
-    if len(d.agents) == 2:
-        first, second = (events for _, events in sets)
-        private = [(e1, e2) for e1 in sorted(first - second) for e2 in sorted(second - first)]
-        dc1p, dc2p = _pair_reports(
-            a_s, private, ("DC1-private-pairs", "DC2-private-pairs")
-        )
-        dc3p = _check_dc3_pairwise(a_s, d)
-        restricted = (
-            dc1p.holds and dc2p.holds and conditions[2].holds and conditions[3].holds
-        )
-        two_agent = TwoAgentReport(dc1p, dc2p, dc3p, restricted == oracle.holds)
     return DecompReport(
         agents=d.agents,
         conditions=conditions,
@@ -514,7 +452,7 @@ def decomposability_report(
         oracle=oracle,
         consistent=conjunction == oracle.holds,
         locals_=views,
-        two_agent=two_agent,
+        dc3_pairwise=_check_dc3_pairwise(a_s, d) if len(d.agents) == 2 else None,
     )
 
 
@@ -526,16 +464,20 @@ def replay_condition_witness(
 ) -> bool:
     """Re-run one witness against the inputs it was issued for.
 
-    A DC4 witness replays when both branches leave its state on its event,
-    one branch runs its string, and from the other a state reached by all but
-    the last event refuses that event.
+    An EF1-EF4 witness was issued for the refined alphabet: pass its event
+    sets as ``sets`` (as ``dict(FailureReport.sigma)``) and they stand in for
+    ``d``'s; no witness reads the channels.  A DC4 witness replays when both
+    branches leave its state on its event, one branch runs its string, and
+    from the other a state reached by all but the last event refuses that
+    event.
     """
-    pairs = _sets_in_order(d, sets)
+    if sets is not None:
+        d = DistributedAlphabet(tuple(sets), tuple(sets.values()))
     if w.kind == "selection":
         e1, e2 = w.events
         return (
             {e1, e2} <= a_s.enabled(w.state)
-            and not _colocated(e1, e2, pairs)
+            and not _colocated(e1, e2, d)
             and not (
                 run_from(a_s, [w.state], (e1, e2)) and run_from(a_s, [w.state], (e2, e1))
             )
@@ -549,7 +491,7 @@ def replay_condition_witness(
         if w.state is not None:
             # Pairwise witnesses quantify from an arbitrary task state: both
             # source strings must run there while the woven member must not.
-            sets_map = dict(pairs)
+            sets_map = d.local_map
             runnable = all(run_from(a_s, [w.state], s) for s in w.sources)
             woven = sync_product_contains(
                 {a: project_string(w.sources[i], sets_map[a])
@@ -559,14 +501,13 @@ def replay_condition_witness(
             ) if len(w.sources) == len(sets_map) else True
             return runnable and woven and not run_from(a_s, [w.state], w.string)
         # The composed views run exactly the owned strings each view runs projected.
-        views = [v for _, v in local_views(a_s, d, sets)]
+        views = [v for _, v in local_views(a_s, d)]
         owned = frozenset().union(*(v.alphabet for v in views))
         return owned.issuperset(w.string) and not defined(a_s, w.string) and all(
             defined(v, project_string(w.string, v.alphabet)) for v in views
         )
     if w.kind == "conflicting-branches":
-        sets_map = dict(pairs)
-        view = project_automaton(a_s, sets_map[w.agent])
+        view = project_automaton(a_s, d.local(w.agent))
         x1, x2 = w.pair
         if x1 not in view._index or x2 not in view._index:
             return False

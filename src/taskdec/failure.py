@@ -162,15 +162,25 @@ def passivity(d: DistributedAlphabet, f: FailureSpec) -> PassivityVerdict:
     return PassivityVerdict(tuple(entries), all(e.passive for e in entries))
 
 
-def refined_alphabets(
-    d: DistributedAlphabet, f: FailureSpec
-) -> dict[str, frozenset[str]]:
-    """Per-agent event sets after failure: passive losses leave, the rest stay."""
+def refined_alphabet(d: DistributedAlphabet, f: FailureSpec) -> DistributedAlphabet:
+    """The alphabet after failure: passive losses leave, the rest stay.
+
+    A channel stays only while both of its endpoints still own its event.
+    """
     return _refined(d, passivity(d, f))
 
 
-def _refined(d: DistributedAlphabet, pv: PassivityVerdict) -> dict[str, frozenset[str]]:
-    return {agent: d.local(agent) - pv.passive_for(agent) for agent in d.agents}
+def _refined(d: DistributedAlphabet, pv: PassivityVerdict) -> DistributedAlphabet:
+    local = {agent: d.local(agent) - pv.passive_for(agent) for agent in d.agents}
+    return DistributedAlphabet(
+        d.agents,
+        tuple(local.values()),
+        frozenset(
+            (e, sender, receiver)
+            for e, sender, receiver in d.channels
+            if e in local[sender] and e in local[receiver]
+        ),
+    )
 
 
 def apply_failure(
@@ -227,7 +237,7 @@ def _ef4_literal(
     a_s: Automaton,
     d: DistributedAlphabet,
     f: FailureSpec,
-    sigma: Mapping[str, frozenset[str]],
+    refined: DistributedAlphabet,
 ) -> ConditionReport:
     """Failure-aware branch condition, read directly off the pre-failure views.
 
@@ -244,7 +254,7 @@ def _ef4_literal(
     witnesses = []
     for agent in d.agents:
         lost = f.for_agent(agent)
-        keep = sigma[agent]
+        keep = refined.local(agent)
         view, of_state = _project_with_classes(a_s, d.local(agent))
         linked: dict[str, set[str]] = {x: set() for x in view.states}
         for src, e, dst in view.transitions:
@@ -345,7 +355,7 @@ def check_ef(
     which: str,
     depth: int | None = None,
 ) -> ConditionReport:
-    """One post-failure condition, evaluated over the refined event sets.
+    """One post-failure condition: DC1-DC4 over the refined alphabet.
 
     EF3 is read exactly unless ``depth`` is given, as DC3 in ``check_dc3``.
 
@@ -357,15 +367,15 @@ def check_ef(
     if not pv.all_passive:
         bad = ", ".join(f"{e.event} in agent {e.agent} ({e.reason})" for e in pv.non_passive)
         raise NonPassiveFailure(f"non-passive failure present: {bad}")
-    sigma = _refined(d, pv)
+    refined = _refined(d, pv)
     if which == "EF1":
-        return replace(check_dc1(a_s, d, sigma), condition="EF1")
+        return replace(check_dc1(a_s, refined), condition="EF1")
     if which == "EF2":
-        return replace(check_dc2(a_s, d, sigma), condition="EF2")
+        return replace(check_dc2(a_s, refined), condition="EF2")
     if which == "EF3":
-        return replace(check_dc3(a_s, d, sigma, depth), condition="EF3")
+        return replace(check_dc3(a_s, refined, depth), condition="EF3")
     if which == "EF4":
-        return _check_ef4(a_s, d, f, sigma)
+        return _check_ef4(a_s, d, f, refined)
     raise AutomatonError(f"unknown condition {which!r}")
 
 
@@ -373,10 +383,10 @@ def _check_ef4(
     a_s: Automaton,
     d: DistributedAlphabet,
     f: FailureSpec,
-    sigma: Mapping[str, frozenset[str]],
+    refined: DistributedAlphabet,
 ) -> ConditionReport:
-    canonical = check_dc4(a_s, d, sigma)
-    literal = _ef4_literal(a_s, d, f, sigma)
+    canonical = check_dc4(a_s, refined)
+    literal = _ef4_literal(a_s, d, f, refined)
     agree = canonical.holds == literal.holds
     notes = (
         f"refined-set reading: {'holds' if canonical.holds else 'violated'}",
@@ -432,8 +442,7 @@ def remains_decomposable(
     """
     _require_task(a_s)
     pv = passivity(d, f)
-    sigma_map = _refined(d, pv)
-    sigma = tuple((agent, sigma_map[agent]) for agent in d.agents)
+    refined = _refined(d, pv)
     pre, failed_locals, oracle = _pre_and_post(a_s, d, f, pv)
     notes: list[str] = []
     if not pre.holds:
@@ -446,9 +455,9 @@ def remains_decomposable(
     conjunction: bool | None = None
     if pv.all_passive:
         conditions = (
-            *_check_dc12(a_s, sigma, ("EF1", "EF2")),
+            *_check_dc12(a_s, refined, ("EF1", "EF2")),
             replace(_check_dc3(a_s, failed_locals, depth), condition="EF3"),
-            _check_ef4(a_s, d, f, sigma_map),
+            _check_ef4(a_s, d, f, refined),
         )
         conjunction = all(c.holds for c in conditions)
     else:
@@ -464,7 +473,7 @@ def remains_decomposable(
     return FailureReport(
         pre=pre,
         passivity=pv,
-        sigma=sigma,
+        sigma=tuple(zip(refined.agents, refined.local_sets)),
         conditions=conditions,
         conjunction=conjunction,
         failed_locals=failed_locals,
@@ -536,15 +545,16 @@ def two_agent_analysis(
     f1, f2 = f.for_agent(one), f.for_agent(two)
     _require_task(a_s)
     pv = passivity(d, f)
-    sigma = _refined(d, pv)
+    refined = _refined(d, pv)
+    sigma1, sigma2 = refined.local_sets
     pre, _, oracle = _pre_and_post(a_s, d, f, pv)
     notes: list[str] = []
     identities = None
     pair_spaces = None
     if pv.all_passive:
         shift = (
-            sigma[one] - sigma[two] == (e1_set - e2_set) | f2
-            and sigma[two] - sigma[one] == (e2_set - e1_set) | f1
+            sigma1 - sigma2 == (e1_set - e2_set) | f2
+            and sigma2 - sigma1 == (e2_set - e1_set) | f1
         )
         identities = IdentityReport(
             failed_sets_disjoint=not (f1 & f2),
@@ -567,8 +577,8 @@ def two_agent_analysis(
             quadrants.append(QuadrantReport(name, switch, order))
         sigma_pairs = [
             (a, b)
-            for a in sorted(sigma[one] - sigma[two])
-            for b in sorted(sigma[two] - sigma[one])
+            for a in sorted(sigma1 - sigma2)
+            for b in sorted(sigma2 - sigma1)
             if a != b
         ]
         sigma_switch, sigma_order = _pair_reports(
@@ -626,9 +636,9 @@ def replay_failure_witness(
     """
     if w.kind != "failure-branch":
         raise AutomatonError(f"not a failure witness: {w.kind!r}")
-    sigma = refined_alphabets(d, f)
     view = project_automaton(a_s, d.local(w.agent))
-    failed_view, of_state = _project_with_classes(view, sigma[w.agent])
+    kept = refined_alphabet(d, f).local(w.agent)
+    failed_view, of_state = _project_with_classes(view, kept)
     x1, x2 = w.pair
     if any(x not in of_state for x in (w.state, x1, x2)):
         return False

@@ -166,6 +166,19 @@ def test_project_emits_a_reusable_block(capsys):
     assert "alphabet: e1" in refined
 
 
+@pytest.mark.parametrize("refined", [(), ("--refined",)])
+def test_project_onto_an_unknown_agent_is_an_input_error(capsys, refined):
+    rc, out, err = run(capsys, "project", "ex1.scn", "--agent", "9", *refined)
+    assert (rc, out, err) == (2, "", "error: unknown agent '9'\n")
+
+
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_fuzz_without_trials_is_an_input_error(capsys, trials):
+    rc, out, err = run(capsys, "fuzz", "--trials", trials)
+    assert (rc, out) == (2, "")
+    assert err == f"error: trials must be at least 1, got {trials}\n"
+
+
 def test_compose_whole_scenario(capsys):
     rc, out, _ = run(capsys, "compose", "ex1.scn")
     assert rc == 0
@@ -192,7 +205,6 @@ def test_fuzz_clean_and_disagreeing_runs(tmp_path, capsys, monkeypatch):
     assert "disagreement (seed 10142, decomposability)" in out
     assert sorted(p.name for p in corpus.iterdir()) == [
         "decomposability-seed10142.scn",
-        "two-agent-restriction-seed10142.scn",
     ]
 
 

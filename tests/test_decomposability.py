@@ -27,7 +27,7 @@ from taskdec.decomposability import (
     local_views,
     replay_condition_witness,
 )
-from taskdec.failure import remains_decomposable
+from taskdec.failure import refined_alphabet, remains_decomposable
 from taskdec.fixtures import fixture_names, load
 from taskdec.relations import language_included, replay_witness
 from taskdec.testkit import (
@@ -227,8 +227,7 @@ def test_report_on_decomposable_fixture(scn):
     assert report.consistent
     assert report.agents == ("1", "2")
     assert dict(report.locals_).keys() == {"1", "2"}
-    assert report.two_agent is not None
-    assert report.two_agent.consistent_with_oracle
+    assert report.dc3_pairwise is not None
 
 
 def test_report_fixture_consistency(scn):
@@ -236,16 +235,7 @@ def test_report_fixture_consistency(scn):
         sc = scn(name)
         report = decomposability_report(sc.task_automaton, sc.d)
         assert report.consistent, name
-        if report.two_agent:
-            assert report.two_agent.consistent_with_oracle, name
-
-
-def test_two_agent_private_pair_checks():
-    task, d = order_matters()
-    report = decomposability_report(task, d)
-    assert not report.two_agent.dc2_private_pairs.holds
-    assert report.two_agent.dc1_private_pairs.holds
-    assert report.two_agent.consistent_with_oracle
+        assert (report.dc3_pairwise is not None) == (len(report.agents) == 2), name
 
 
 def test_two_agent_pairwise_weave_witnesses_replay():
@@ -264,7 +254,7 @@ def test_two_agent_pairwise_weave_witnesses_replay():
     )
     d = build_alphabet({"1": {"a", "c"}, "2": {"b", "c"}}, [("c", "1", "2")])
     report = decomposability_report(task, d)
-    pairwise = report.two_agent.dc3_pairwise
+    pairwise = report.dc3_pairwise
     assert not pairwise.holds
     assert pairwise.witnesses
     for w in pairwise.witnesses:
@@ -272,7 +262,7 @@ def test_two_agent_pairwise_weave_witnesses_replay():
         assert replay_condition_witness(task, d, w)
     assert any(w.string == ("c", "b") for w in pairwise.witnesses)
     assert not report.oracle.holds
-    assert report.two_agent.consistent_with_oracle
+    assert report.consistent
 
 
 def test_two_agent_pairwise_reading_stops_at_the_witness_cap():
@@ -282,7 +272,7 @@ def test_two_agent_pairwise_reading_stops_at_the_witness_cap():
                   allow_cycles=True, max_branching=6)
     sc = gen_scenario(p)
     task, d = sc.task_automaton, sc.d
-    pairwise = decomposability_report(task, d).two_agent.dc3_pairwise
+    pairwise = decomposability_report(task, d).dc3_pairwise
     assert len(pairwise.witnesses) == ILLEGAL_WITNESS_CAP
     assert all(replay_condition_witness(task, d, w) for w in pairwise.witnesses)
 
@@ -326,7 +316,6 @@ def test_single_agent_always_decomposes():
 def test_conditions_are_sound_and_disagreement_is_surfaced(seed):
     # DC1 and DC2 are necessary and DC3 with DC4 decide the oracle, so the
     # conjunction and the oracle agree on every draw, and `consistent` says so.
-    # With two agents the private-pair forms of DC1/DC2 agree with the full ones.
     rng = random.Random(f"dc:{seed}")
     p = GenParams(max_states=5, max_events=4, agent_count=2)
     task = gen_automaton(rng, p)
@@ -334,9 +323,6 @@ def test_conditions_are_sound_and_disagreement_is_surfaced(seed):
     report = decomposability_report(task, d)
     assert report.conjunction == report.oracle.holds
     assert report.consistent
-    dc1, dc2 = report.conditions[:2]
-    assert report.two_agent.dc1_private_pairs.holds == dc1.holds
-    assert report.two_agent.dc2_private_pairs.holds == dc2.holds
 
 
 @settings(max_examples=25, deadline=None)
@@ -422,9 +408,9 @@ def test_exact_dc3_lists_one_shortest_string_per_boundary():
 
 
 def _illegal_string_cases():
-    """(task, alphabet, event sets, witness) for every exact DC3/EF3 witness on
-    the bundled fixtures and on seeded draws: 2-4 agents, 4-16 states,
-    acyclic and cyclic, passive failures for EF3."""
+    """(task, alphabet, witness) for every exact DC3/EF3 witness on the
+    bundled fixtures and on seeded draws: 2-4 agents, 4-16 states, acyclic
+    and cyclic, passive failures for EF3 (issued for the refined alphabet)."""
     scenarios = [load(name) for name in fixture_names()]
     scenarios += [
         gen_scenario(GenParams(seed=seed, max_states=4 + seed % 13, max_events=6,
@@ -435,10 +421,11 @@ def _illegal_string_cases():
     for i, sc in enumerate(scenarios):
         task, d = sc.task_automaton, sc.d
         for w in decomposability_report(task, d).conditions[2].witnesses:
-            yield task, d, None, w
-        fr = remains_decomposable(task, d, gen_failures(random.Random(f"replay:{i}"), d))
+            yield task, d, w
+        f = gen_failures(random.Random(f"replay:{i}"), d)
+        fr = remains_decomposable(task, d, f)
         for w in fr.conditions[2].witnesses if fr.conditions else ():
-            yield task, d, dict(fr.sigma), w
+            yield task, refined_alphabet(d, f), w
 
 
 def test_illegal_strings_replay_view_by_view(monkeypatch):
@@ -446,13 +433,13 @@ def test_illegal_strings_replay_view_by_view(monkeypatch):
     # every task event and for an event no agent owns, replays exactly when
     # the composed views run it and the task does not.
     cases = []
-    for task, d, sets, w in _illegal_string_cases():
+    for task, d, w in _illegal_string_cases():
         assert w.kind == "illegal-string"
-        composition = compose_all([v for _, v in local_views(task, d, sets)])
+        composition = compose_all([v for _, v in local_views(task, d)])
         for last in (w.string[-1], *sorted(task.alphabet), "unowned"):
             s = w.string[:-1] + (last,)
             expected = defined(composition, s) and not defined(task, s)
-            cases.append((task, d, sets, replace(w, string=s), expected))
+            cases.append((task, d, replace(w, string=s), expected))
 
     def refuse(*args):
         raise AssertionError("replay composed the views")
@@ -460,8 +447,8 @@ def test_illegal_strings_replay_view_by_view(monkeypatch):
     for module in (automata, relations, decomposability, failure):
         monkeypatch.setattr(module, "compose_all", refuse)
     witnesses = unowned = unrunnable = 0
-    for task, d, sets, w, expected in cases:
-        assert replay_condition_witness(task, d, w, sets) == expected, w
+    for task, d, w, expected in cases:
+        assert replay_condition_witness(task, d, w) == expected, w
         witnesses += expected
         unowned += w.string[-1] == "unowned"
         unrunnable += not expected and w.string[-1] != "unowned" and not defined(task, w.string)

@@ -23,7 +23,7 @@ from taskdec.failure import (
     check_ef,
     ef_dual_agreement,
     passivity,
-    refined_alphabets,
+    refined_alphabet,
     remains_decomposable,
     replay_failure_witness,
     two_agent_analysis,
@@ -90,17 +90,22 @@ def test_passivity_rejects_foreign_event(scn):
 
 def test_refined_alphabets_shrink_only_on_passive_loss(scn):
     sc = scn("ex1")
-    assert refined_alphabets(sc.d, sc.failures) == {
+    refined = refined_alphabet(sc.d, sc.failures)
+    assert refined.local_map == {
         "1": frozenset({"e1"}),
         "2": frozenset({"a", "e2"}),
         "3": frozenset({"a"}),
     }
+    # Agent 1 no longer owns a, so only the channel into agent 2 stays.
+    assert refined.channels == {("a", "3", "2")}
     stuck = scn("ex1_source")
-    assert refined_alphabets(stuck.d, stuck.failures) == {
+    refined = refined_alphabet(stuck.d, stuck.failures)
+    assert refined.local_map == {
         "1": frozenset({"a", "e1"}),
         "2": frozenset({"a", "e2"}),
         "3": frozenset({"a"}),
     }
+    assert refined.channels == stuck.d.channels
 
 
 def test_apply_failure_hides_passive_events(scn):

@@ -195,7 +195,7 @@ def test_differential_suite_clean_window():
 
 def test_differential_suite_flags_and_persists_disagreements(tmp_path, monkeypatch):
     # DC4 is made to convict every task, so the decomposable draw at this
-    # seed must be flagged by both the report and the two-agent reading.
+    # seed must be flagged by the report.
     original = decomposability.check_dc4
     monkeypatch.setattr(
         decomposability,
@@ -208,12 +208,10 @@ def test_differential_suite_flags_and_persists_disagreements(tmp_path, monkeypat
     assert not summary.passed
     assert [(d.seed, d.kind) for d in summary.disagreements] == [
         (10142, "decomposability"),
-        (10142, "two-agent-restriction"),
     ]
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names == [
         "decomposability-seed10142.scn",
-        "two-agent-restriction-seed10142.scn",
     ]
     for entry in summary.disagreements:
         # the persisted artifact is the emitted scenario, parseable as-is
@@ -221,6 +219,12 @@ def test_differential_suite_flags_and_persists_disagreements(tmp_path, monkeypat
         assert text == entry.scenario_text
         assert emit(parse_scenario(text)) == text
     assert "oracle says" in summary.disagreements[0].detail
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_differential_suite_needs_a_trial(trials):
+    with pytest.raises(AutomatonError, match=f"trials must be at least 1, got {trials}"):
+        differential_suite(GenParams(), trials)
 
 
 def test_suite_summary_passed_property():
