@@ -21,6 +21,7 @@ from .automata import (
     AutomatonError,
     DistributedAlphabet,
     _bounded_from,
+    build_alphabet,
     compose_all,
     defined,
     run_from,
@@ -472,7 +473,7 @@ def replay_condition_witness(
     event.
     """
     if sets is not None:
-        d = DistributedAlphabet(tuple(sets), tuple(sets.values()))
+        d = build_alphabet(sets)
     if w.kind == "selection":
         e1, e2 = w.events
         return (

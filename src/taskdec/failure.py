@@ -18,6 +18,7 @@ from .automata import (
     AutomatonError,
     DistributedAlphabet,
     accessible,
+    build_alphabet,
     compose_all,
 )
 from .decomposability import (
@@ -172,14 +173,8 @@ def refined_alphabet(d: DistributedAlphabet, f: FailureSpec) -> DistributedAlpha
 
 def _refined(d: DistributedAlphabet, pv: PassivityVerdict) -> DistributedAlphabet:
     local = {agent: d.local(agent) - pv.passive_for(agent) for agent in d.agents}
-    return DistributedAlphabet(
-        d.agents,
-        tuple(local.values()),
-        frozenset(
-            (e, sender, receiver)
-            for e, sender, receiver in d.channels
-            if e in local[sender] and e in local[receiver]
-        ),
+    return build_alphabet(
+        local, [(e, i, j) for e, i, j in d.channels if e in local[i] and e in local[j]]
     )
 
 
