@@ -138,6 +138,49 @@ def test_generated_scenarios_round_trip(seed):
     assert parse_scenario(emit(sc)) == sc
 
 
+GRAMMAR_TOKENS = (
+    "automaton", "agents", "channels", "failures", "task:", "plant ", "controller ",
+    "states:", "initial:", "alphabet:", "{", "}", ":", "->", "#", "eps", "\n", " ",
+    "q0", "a", "1",
+)
+
+
+@st.composite
+def mutated_fixture_texts(draw):
+    """A fixture text after a few span deletions, token insertions and line shuffles."""
+    text = fixtures.fixture_text(draw(st.sampled_from(fixtures.fixture_names())))
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(("delete", "insert", "shuffle")))
+        if kind == "delete":
+            start = draw(st.integers(min_value=0, max_value=len(text)))
+            end = draw(st.integers(min_value=start, max_value=len(text)))
+            text = text[:start] + text[end:]
+        elif kind == "insert":
+            at = draw(st.integers(min_value=0, max_value=len(text)))
+            text = text[:at] + draw(st.sampled_from(GRAMMAR_TOKENS)) + text[at:]
+        else:
+            lines = text.split("\n")
+            start = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+            window = lines[start:start + draw(st.integers(min_value=2, max_value=5))]
+            shuffled = draw(st.permutations(window))
+            text = "\n".join(lines[:start] + list(shuffled) + lines[start + len(window):])
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_fixture_texts())
+def test_mutated_fixtures_parse_or_fail_with_a_located_error(text):
+    # Malformed text raises only ScenarioError, located at a real position;
+    # text that parses emits a canonical form that parses back to itself.
+    try:
+        sc = parse_scenario(text)
+    except ScenarioError as exc:
+        assert exc.line >= 1 and exc.col >= 1
+        return
+    canonical = emit(sc)
+    assert emit(parse_scenario(canonical)) == canonical
+
+
 def test_build_fixtures_script_reproduces_the_bundled_fixtures(tmp_path, monkeypatch):
     # scripts/build_fixtures.py is the declared source of the bundled
     # fixtures: its output must match them byte for byte.
