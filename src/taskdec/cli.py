@@ -197,6 +197,9 @@ def _print_condition_witness(w) -> None:
 
 def cmd_check_failure(args) -> int:
     if args.fixture_matrix:
+        if args.scenario is not None or args.depth is not None:
+            print("error: --fixture-matrix takes no scenario and no --depth", file=sys.stderr)
+            return 2
         rows = fixtures.run_matrix()
         if args.json:
             _print_json(rows)
@@ -407,3 +410,7 @@ def main(argv=None) -> int:
 
 def script_main() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    script_main()

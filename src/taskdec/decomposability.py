@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -109,8 +110,8 @@ def _pair_findings(
     Switch: where both events are enabled, both orders must run.  Order:
     where either order runs, both must, and they must reach states with the
     same future.  Returns the switch and the order witnesses, state-major and
-    in ``pairs`` order.  DC1/DC2, EF1/EF2 and the two-agent failure pair spaces
-    are this one requirement over different pairs.
+    in ``pairs`` order.  DC1/DC2 and EF1/EF2 are this one requirement over
+    different pairs.
     """
     switch: list[ConditionWitness] = []
     order: list[ConditionWitness] = []
@@ -137,16 +138,6 @@ def _pair_findings(
                     )
                 )
     return switch, order
-
-
-def _pair_reports(
-    a_s: Automaton, pairs: Sequence[tuple[str, str]], names: tuple[str, str]
-) -> tuple[ConditionReport, ConditionReport]:
-    """The switch and order findings over ``pairs`` as two named reports."""
-    return tuple(
-        ConditionReport(name, not found, tuple(found))
-        for name, found in zip(names, _pair_findings(a_s, pairs))
-    )
 
 
 def _with_note(w: ConditionWitness) -> ConditionWitness:
@@ -241,25 +232,32 @@ def _check_dc3(
     sets = {agent: view.alphabet for agent, view in views}
     shared = frozenset().union(*(x & y for x, y in itertools.combinations(sets.values(), 2)))
     core = [s for s in language if not shared.isdisjoint(s)]
-    n = len(sets)
-    if len(core) ** n > TUPLE_BUDGET:
+    # Each agent's local strings, each with the core strings it projects from.
+    sources = []
+    for events in sets.values():
+        froms: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
+        for s in core:
+            froms.setdefault(project_string(s, events), set()).add(s)
+        sources.append(froms)
+    if math.prod(len(froms) for froms in sources) > TUPLE_BUDGET:
         raise AutomatonError(
             "bounded interleaving check is too large here; use exact mode"
         )
-    vectors: set[tuple[tuple[str, ...], ...]] = set()
-    for combo in itertools.product(core, repeat=n):
-        if all(x == combo[0] for x in combo):
-            continue
-        vectors.add(
-            tuple(project_string(s, events) for s, events in zip(combo, sets.values()))
-        )
+    # A vector needs core strings that are not all one: it is left out only
+    # when every local string has one and the same core string as its only source.
+    vectors = (
+        vector
+        for vector in itertools.product(*map(sorted, sources))
+        if len({frozenset(froms[p]) for froms, p in zip(sources, vector)}) > 1
+        or len(sources[0][vector[0]]) > 1
+    )
     found = (
         ConditionWitness(
             kind="illegal-interleaving",
             string=member,
             note="woven from " + " | ".join(" ".join(p) or "(empty)" for p in vector),
         )
-        for vector in sorted(vectors)
+        for vector in vectors
         for member in _weaves_outside(a_s, a_s.initials, dict(zip(sets, vector)), sets)
     )
     witnesses = tuple(itertools.islice(found, ILLEGAL_WITNESS_CAP))

@@ -26,7 +26,6 @@ from .decomposability import (
     ConditionWitness,
     _check_dc3,
     _check_dc12,
-    _pair_reports,
     _require_task,
     branch_refuses,
     check_dc1,
@@ -216,16 +215,6 @@ def _failed_views(
         (agent, apply_failure(view, f.for_agent(agent), pv.passive_for(agent)))
         for agent, view in views
     )
-
-
-def _pre_and_post(
-    a_s: Automaton, d: DistributedAlphabet, f: FailureSpec, pv: PassivityVerdict
-) -> tuple[RelationVerdict, tuple[tuple[str, Automaton], ...], RelationVerdict]:
-    """Project each view once: the pre-failure verdict, the failed views, the post-failure one."""
-    views = local_views(a_s, d)
-    pre = matches_task([v for _, v in views], a_s)
-    failed = _failed_views(views, f, pv)
-    return pre, failed, matches_task([v for _, v in failed], a_s)
 
 
 def _ef4_literal(
@@ -430,7 +419,7 @@ def remains_decomposable(
 
     The pipeline classifies passivity, evaluates the four post-failure
     conditions when every failure is passive, and always closes with the
-    oracle: the failed local views, composed, compared against the task.
+    oracle: the failed local views, walked in lockstep against the task.
     With passive failures each failed view is, up to state names, the task
     projected onto the agent's refined set, so EF3 reads the failed views.
     With a ``depth``, EF3 is the bounded interleaving reading.
@@ -438,7 +427,10 @@ def remains_decomposable(
     _require_task(a_s)
     pv = passivity(d, f)
     refined = _refined(d, pv)
-    pre, failed_locals, oracle = _pre_and_post(a_s, d, f, pv)
+    views = local_views(a_s, d)
+    pre = matches_task([v for _, v in views], a_s)
+    failed_locals = _failed_views(views, f, pv)
+    oracle = matches_task([v for _, v in failed_locals], a_s)
     notes: list[str] = []
     if not pre.holds:
         notes.append("the task does not decompose even before failures")
@@ -496,14 +488,6 @@ class QuadrantReport:
 
 
 @dataclass(frozen=True)
-class PairSpaceReport:
-    quadrants: tuple[QuadrantReport, ...]
-    sigma_switch: ConditionReport
-    sigma_order: ConditionReport
-    agree: bool
-
-
-@dataclass(frozen=True)
 class WholeAgentReport:
     agent: str
     all_passive: bool
@@ -513,40 +497,38 @@ class WholeAgentReport:
 
 @dataclass(frozen=True)
 class TwoAgentFailureReport:
-    pre: RelationVerdict
-    passivity: PassivityVerdict
+    failure: FailureReport
     identities: IdentityReport | None
-    pair_spaces: PairSpaceReport | None
+    quadrants: tuple[QuadrantReport, ...]
+    quadrants_cover: bool | None
     whole_agent: tuple[WholeAgentReport, ...]
-    oracle: RelationVerdict
-    remains: bool
     notes: tuple[str, ...]
 
 
 def two_agent_analysis(
     a_s: Automaton, d: DistributedAlphabet, f: FailureSpec
 ) -> TwoAgentFailureReport:
-    """The sharper two-agent picture of failure survival.
+    """The sharper two-agent picture of failure survival, read off one FailureReport.
 
     Passive failures of a two-agent team always sit inside the shared events
-    and never on both sides at once, which shrinks the post-failure checks to
-    a handful of event-pair quadrants.  Whole-agent failures admit a clean
-    answer: survival is exactly passivity of everything that agent had.
+    and never on both sides at once, so the refined private pairs split into
+    four quadrants: each quadrant's switch and order findings are EF1's and
+    EF2's witnesses on its pairs, and ``quadrants_cover`` says the quadrants
+    hold exactly those pairs.  Whole-agent failures admit a clean answer:
+    survival is exactly passivity of everything that agent had.
     """
     if len(d.agents) != 2:
         raise AutomatonError("two-agent analysis needs exactly two agents")
+    report = remains_decomposable(a_s, d, f)
     one, two = d.agents
     e1_set, e2_set = d.local(one), d.local(two)
     f1, f2 = f.for_agent(one), f.for_agent(two)
-    _require_task(a_s)
-    pv = passivity(d, f)
-    refined = _refined(d, pv)
-    sigma1, sigma2 = refined.local_sets
-    pre, _, oracle = _pre_and_post(a_s, d, f, pv)
     notes: list[str] = []
     identities = None
-    pair_spaces = None
-    if pv.all_passive:
+    quadrants: list[QuadrantReport] = []
+    quadrants_cover = None
+    if report.passivity.all_passive:
+        (_, sigma1), (_, sigma2) = report.sigma
         shift = (
             sigma1 - sigma2 == (e1_set - e2_set) | f2
             and sigma2 - sigma1 == (e2_set - e1_set) | f1
@@ -555,63 +537,55 @@ def two_agent_analysis(
             failed_sets_disjoint=not (f1 & f2),
             failures_within_shared_events=(f1 | f2) <= (e1_set & e2_set),
             private_view_shift=shift,
-            holds=not (f1 & f2)
-            and (f1 | f2) <= (e1_set & e2_set)
-            and shift,
+            holds=not (f1 & f2) and (f1 | f2) <= (e1_set & e2_set) and shift,
         )
-        quadrant_pairs = (
-            ("private1 x private2", sorted((e1_set - e2_set)), sorted((e2_set - e1_set))),
-            ("private1 x failed1", sorted((e1_set - e2_set)), sorted(f1)),
-            ("failed2 x private2", sorted(f2), sorted((e2_set - e1_set))),
-            ("failed2 x failed1", sorted(f2), sorted(f1)),
+        sides = (
+            ("private1 x private2", e1_set - e2_set, e2_set - e1_set),
+            ("private1 x failed1", e1_set - e2_set, f1),
+            ("failed2 x private2", f2, e2_set - e1_set),
+            ("failed2 x failed1", f2, f1),
         )
-        quadrants = []
-        for name, left, right in quadrant_pairs:
-            pairs = [(a, b) for a in left for b in right if a != b]
-            switch, order = _pair_reports(a_s, pairs, (f"switch[{name}]", f"order[{name}]"))
-            quadrants.append(QuadrantReport(name, switch, order))
-        sigma_pairs = [
-            (a, b)
-            for a in sorted(sigma1 - sigma2)
-            for b in sorted(sigma2 - sigma1)
-            if a != b
-        ]
-        sigma_switch, sigma_order = _pair_reports(
-            a_s, sigma_pairs, ("switch[refined]", "order[refined]")
-        )
-        quadrant_conj = all(q.switch.holds and q.order.holds for q in quadrants)
-        pair_spaces = PairSpaceReport(
-            tuple(quadrants),
-            sigma_switch,
-            sigma_order,
-            agree=quadrant_conj == (sigma_switch.holds and sigma_order.holds),
-        )
+        ef1, ef2 = report.conditions[:2]
+        covered: set[frozenset[str]] = set()
+        for name, left, right in sides:
+            pairs = {frozenset((a, b)) for a in left for b in right if a != b}
+            covered |= pairs
+            switch, order = (
+                tuple(w for w in c.witnesses if frozenset(w.events) in pairs)
+                for c in (ef1, ef2)
+            )
+            quadrants.append(QuadrantReport(
+                name,
+                ConditionReport(f"switch[{name}]", not switch, switch),
+                ConditionReport(f"order[{name}]", not order, order),
+            ))
+        quadrants_cover = covered == {
+            frozenset((a, b)) for a in sigma1 - sigma2 for b in sigma2 - sigma1 if a != b
+        }
     else:
-        notes.append("identity and pair-space sections need passive failures")
+        notes.append("identity and quadrant sections need passive failures")
     whole_agent = []
     for agent, full, lost in ((one, e1_set, f1), (two, e2_set, f2)):
         if lost == full and full:
-            all_passive_here = pv.passive_for(agent) == lost
+            all_passive_here = report.passivity.passive_for(agent) == lost
             whole_agent.append(
                 WholeAgentReport(
                     agent=agent,
                     all_passive=all_passive_here,
-                    remains=oracle.holds,
-                    equivalence_holds=(oracle.holds == all_passive_here),
+                    remains=report.remains,
+                    equivalence_holds=(report.remains == all_passive_here),
                 )
             )
-            if not pre.holds:
+            if not report.pre.holds:
                 notes.append(
                     "whole-agent equivalence is only promised for decomposable tasks"
                 )
     return TwoAgentFailureReport(
-        pre=pre,
-        passivity=pv,
+        failure=report,
         identities=identities,
-        pair_spaces=pair_spaces,
+        quadrants=tuple(quadrants),
+        quadrants_cover=quadrants_cover,
         whole_agent=tuple(whole_agent),
-        oracle=oracle,
-        remains=oracle.holds,
         notes=tuple(notes),
     )
 

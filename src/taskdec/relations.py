@@ -20,6 +20,7 @@ from .automata import (
     compose_all,
     defined,
     run,
+    run_from,
 )
 
 
@@ -377,6 +378,4 @@ def replay_witness(a1: Automaton, a2: Automaton, w: Witness) -> bool:
 
 def replay_state_witness(d: Automaton, q1: str, q2: str, w: Witness) -> bool:
     """Check a state_language_equal witness: the string runs from exactly one state."""
-    from .automata import run_from
-
     return bool(run_from(d, [q1], w.string)) != bool(run_from(d, [q2], w.string))

@@ -387,7 +387,7 @@ def stopped_event_suite(params: GenParams, trials: int) -> SuiteSummary:
 
 
 def two_agent_suite(params: GenParams, trials: int) -> SuiteSummary:
-    """Two-agent structure: set identities, pair-space agreement, whole-agent rule."""
+    """Two-agent structure: set identities, quadrant cover, whole-agent rule."""
     disagreements: list[Disagreement] = []
     failure_trials = 0
     whole_agent_trials = 0
@@ -410,8 +410,8 @@ def two_agent_suite(params: GenParams, trials: int) -> SuiteSummary:
             failed_sc = replace(sc, failures=f)
             if ta.identities and not ta.identities.holds:
                 bad("two-agent-identities", "set identities fail", failed_sc)
-            if ta.pair_spaces and not ta.pair_spaces.agree:
-                bad("two-agent-pairs", "quadrants disagree with refined pairs", failed_sc)
+            if ta.quadrants_cover is False:
+                bad("two-agent-pairs", "quadrants miss refined private pairs", failed_sc)
         one = d.agents[0]
         whole = d.local(one)
         if whole:

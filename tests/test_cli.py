@@ -1,12 +1,15 @@
 """End-to-end CLI behaviour: exit codes, JSON output, file round-trips."""
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from taskdec import decomposability
+from taskdec import cli, decomposability
 from taskdec.cli import main
 from taskdec.scenario import parse_scenario
 
@@ -115,6 +118,27 @@ def test_fixture_matrix_reports_every_fixture(capsys):
     assert len(lines) == 13
     assert all(line.endswith(": PASS") for line in lines)
     assert lines[0] == "ex1: PASS"
+
+
+@pytest.mark.parametrize(
+    "extra", [("ex1.scn",), ("--depth", "4"), ("ex1.scn", "--depth", "4")]
+)
+def test_fixture_matrix_refuses_a_scenario_and_a_depth(capsys, extra):
+    rc, out, err = run(capsys, "check-failure", "--fixture-matrix", *extra)
+    assert (rc, out) == (2, "")
+    assert err == "error: --fixture-matrix takes no scenario and no --depth\n"
+
+
+def test_module_runs_as_a_script():
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "taskdec.cli", "check-decomp",
+         str(src / "taskdec" / "fixtures" / "ex9.scn")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert any(line.startswith("oracle: not decomposable") for line in proc.stdout.splitlines())
 
 
 def test_bisim_command(capsys):

@@ -1,4 +1,5 @@
 """The four conditions against their compositional oracle, plus witness replay."""
+import itertools
 import random
 from dataclasses import replace
 
@@ -29,6 +30,7 @@ from taskdec.decomposability import (
 )
 from taskdec.failure import refined_alphabet, remains_decomposable
 from taskdec.fixtures import fixture_names, load
+from taskdec.projection import project_string
 from taskdec.relations import language_included, replay_witness
 from taskdec.testkit import (
     GenParams,
@@ -183,6 +185,53 @@ def test_dc3_holds_on_decomposable_fixture(scn):
     sc = scn("ex7")
     assert check_dc3(sc.task_automaton, sc.d).holds
     assert check_dc3(sc.task_automaton, sc.d, depth=4).holds
+
+
+def _bounded_dc3_reference(task, views, depth):
+    """Bounded DC3's witnesses woven from every tuple of core strings, one per
+    agent and not all the same string, each tuple projected agent by agent."""
+    language = sorted(automata._bounded_from(task, task.initials, depth))
+    sets = {agent: view.alphabet for agent, view in views}
+    shared = frozenset().union(*(x & y for x, y in itertools.combinations(sets.values(), 2)))
+    core = [s for s in language if not shared.isdisjoint(s)]
+    vectors = {
+        tuple(project_string(s, events) for s, events in zip(combo, sets.values()))
+        for combo in itertools.product(core, repeat=len(sets))
+        if len(set(combo)) > 1
+    }
+    found = (
+        ConditionWitness(
+            kind="illegal-interleaving",
+            string=member,
+            note="woven from " + " | ".join(" ".join(p) or "(empty)" for p in vector),
+        )
+        for vector in sorted(vectors)
+        for member in decomposability._weaves_outside(
+            task, task.initials, dict(zip(sets, vector)), sets
+        )
+    )
+    return tuple(itertools.islice(found, ILLEGAL_WITNESS_CAP))
+
+
+def test_bounded_dc3_matches_the_tuple_product():
+    compared = convicted = 0
+    for seed in range(200):
+        sc = gen_scenario(GenParams(seed=seed, max_states=8, max_events=6,
+                                    agent_count=2 + seed % 2, allow_cycles=seed % 3 == 0))
+        task, views = sc.task_automaton, local_views(sc.task_automaton, sc.d)
+        report = decomposability._check_dc3(task, views, 3)
+        assert report.witnesses == _bounded_dc3_reference(task, views, 3), seed
+        compared += 1
+        convicted += not report.holds
+    assert compared == 200 and convicted > 10
+
+
+def test_bounded_dc3_decides_a_small_four_agent_task():
+    sc = gen_scenario(GenParams(seed=5059, max_states=8, max_events=7, agent_count=4,
+                                allow_cycles=True, max_branching=4))
+    report = decomposability_report(sc.task_automaton, sc.d, 3)
+    assert report.conditions[2].mode == "bounded"
+    assert report.consistent
 
 
 def test_dc4_tolerates_benign_nondeterminism(scn):

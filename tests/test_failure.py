@@ -36,6 +36,7 @@ from taskdec.testkit import (
     gen_alphabet,
     gen_automaton,
     gen_failures,
+    gen_scenario,
     passive_candidates,
 )
 
@@ -269,27 +270,47 @@ def test_check_ef_rejects_unknown_condition(scn):
 def test_two_agent_quadrants_flag_the_broken_order():
     task, d, f = chain_across_two()
     rep = two_agent_analysis(task, d, f)
-    assert rep.pre.holds and not rep.remains
+    assert rep.failure.pre.holds and not rep.failure.remains
     assert rep.identities.holds
     assert rep.identities.failed_sets_disjoint
     assert rep.identities.failures_within_shared_events
     assert rep.identities.private_view_shift
-    verdicts = {
-        q.name: (q.switch.holds, q.order.holds) for q in rep.pair_spaces.quadrants
-    }
+    verdicts = {q.name: (q.switch.holds, q.order.holds) for q in rep.quadrants}
     assert verdicts == {
         "private1 x private2": (True, True),
         "private1 x failed1": (True, False),
         "failed2 x private2": (True, True),
         "failed2 x failed1": (True, True),
     }
-    broken = rep.pair_spaces.quadrants[1].order
+    broken = rep.quadrants[1].order
     assert broken.condition == "order[private1 x failed1]"
     (w,) = broken.witnesses
-    assert (w.state, w.events) == ("q0", ("a", "c"))
-    assert rep.pair_spaces.sigma_order.condition == "order[refined]"
-    assert not rep.pair_spaces.sigma_order.holds
-    assert rep.pair_spaces.agree
+    assert (w.state, set(w.events)) == ("q0", {"a", "c"})
+    ef2 = rep.failure.conditions[1]
+    assert ef2.condition == "EF2" and not ef2.holds
+    assert ef2.witnesses == (w,)
+    assert rep.quadrants_cover
+
+
+def test_two_agent_quadrants_split_ef1_and_ef2_witnesses():
+    draws = split = 0
+    for seed in range(500):
+        sc = gen_scenario(GenParams(seed=seed, max_states=6, max_events=5, agent_count=2,
+                                    allow_cycles=seed % 2 == 1))
+        f = gen_failures(random.Random(f"quadrants:{seed}"), sc.d, only_passive=True)
+        if f.empty:
+            continue
+        rep = two_agent_analysis(sc.task_automaton, sc.d, f)
+        draws += 1
+        assert rep.quadrants_cover, seed
+        ef1, ef2 = rep.failure.conditions[:2]
+        for condition, side in ((ef1, "switch"), (ef2, "order")):
+            parts = [getattr(q, side).witnesses for q in rep.quadrants]
+            assert sum(len(p) for p in parts) == len(condition.witnesses), seed
+            for w in condition.witnesses:
+                assert sum(w in p for p in parts) == 1, (seed, w)
+            split += len(condition.witnesses)
+    assert draws >= 300 and split > 100
 
 
 def test_two_agent_whole_agent_equivalence():
