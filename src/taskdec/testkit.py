@@ -411,7 +411,7 @@ def two_agent_suite(params: GenParams, trials: int) -> SuiteSummary:
             if ta.identities and not ta.identities.holds:
                 bad("two-agent-identities", "set identities fail", failed_sc)
             if ta.quadrants_cover is False:
-                bad("two-agent-pairs", "quadrants miss refined private pairs", failed_sc)
+                bad("two-agent-pairs", "quadrants differ from refined private pairs", failed_sc)
         one = d.agents[0]
         whole = d.local(one)
         if whole:

@@ -213,17 +213,34 @@ def _bounded_dc3_reference(task, views, depth):
     return tuple(itertools.islice(found, ILLEGAL_WITNESS_CAP))
 
 
+def _two_orders_then_c(both_orders):
+    """a b d c, and with ``both_orders`` b a d c too; a, b and d are private, c is shared.
+
+    With both orders every agent's local string has two source strings, so
+    the bounded reading weaves them (d a b c escapes); with one order the
+    only weave source is a single string, which the reading leaves out."""
+    transitions = [("q0", "a", "q1"), ("q1", "b", "q2"), ("q2", "d", "q3"), ("q3", "c", "q4")]
+    if both_orders:
+        transitions += [("q0", "b", "q5"), ("q5", "a", "q2")]
+    task = build_automaton(sorted({t[0] for t in transitions} | {"q4"}), "q0", None, transitions)
+    return task, build_alphabet({"1": {"a", "c"}, "2": {"b", "c"}, "3": {"d", "c"}})
+
+
 def test_bounded_dc3_matches_the_tuple_product():
-    compared = convicted = 0
-    for seed in range(200):
-        sc = gen_scenario(GenParams(seed=seed, max_states=8, max_events=6,
-                                    agent_count=2 + seed % 2, allow_cycles=seed % 3 == 0))
-        task, views = sc.task_automaton, local_views(sc.task_automaton, sc.d)
-        report = decomposability._check_dc3(task, views, 3)
-        assert report.witnesses == _bounded_dc3_reference(task, views, 3), seed
-        compared += 1
-        convicted += not report.holds
-    assert compared == 200 and convicted > 10
+    cases = [
+        (gen_scenario(GenParams(seed=seed, max_states=8, max_events=6,
+                                agent_count=2 + seed % 2, allow_cycles=seed % 3 == 0)), 3)
+        for seed in range(200)
+    ]
+    cases = [(sc.task_automaton, sc.d, depth) for sc, depth in cases]
+    cases += [(*_two_orders_then_c(True), 4), (*_two_orders_then_c(False), 4)]
+    convicted = []
+    for i, (task, d, depth) in enumerate(cases):
+        views = local_views(task, d)
+        report = decomposability._check_dc3(task, views, depth)
+        assert report.witnesses == _bounded_dc3_reference(task, views, depth), i
+        convicted.append(not report.holds)
+    assert sum(convicted[:200]) > 10 and convicted[200:] == [True, False]
 
 
 def test_bounded_dc3_decides_a_small_four_agent_task():
