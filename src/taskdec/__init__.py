@@ -12,7 +12,6 @@ from .automata import (
     build_automaton,
     compose_all,
     determinize,
-    parallel_compose,
     run,
 )
 from .decomposability import (

@@ -243,57 +243,29 @@ def name_classes(groups: Sequence[Sequence[str]], open_: str = "{", close: str =
     return names
 
 
-def subset_views(a: Automaton, seeds: Sequence[Iterable[str]]) -> tuple[Automaton, tuple[str, ...]]:
-    """Deterministic subset construction seeded at several state sets.
+def determinize(a: Automaton) -> Automaton:
+    """Language-equivalent deterministic automaton via subset construction.
 
-    Returns the subset automaton together with the state name each seed maps
-    to.  The automaton's initial states are the seed states; it is free of
-    hidden moves and transition-deterministic by construction.
+    The result is free of hidden moves and transition-deterministic by
+    construction; its one initial state is the closure of ``a``'s initials.
     """
-    if not seeds:
-        raise AutomatonError("at least one seed set is required")
-    closed: list[frozenset[str]] = []
-    for seed in seeds:
-        seed = frozenset(seed)
-        for q in seed:
-            if q not in a._index:
-                raise AutomatonError(f"unknown state {q!r}")
-        if not seed:
-            raise AutomatonError("empty seed set")
-        closed.append(_closure(a, seed))
-    order: list[frozenset[str]] = []
-    position: dict[frozenset[str], int] = {}
-    for subset in closed:
-        if subset not in position:
-            position[subset] = len(order)
-            order.append(subset)
+    start = _closure(a, a.initials)
+    order = [start]
+    position = {start: 0}
     events = sorted(a.alphabet)
     moves: list[tuple[int, str, int]] = []
-    i = 0
-    while i < len(order):
-        subset = order[i]
+    for i, subset in enumerate(order):
         for event in events:
-            moved = frozenset(dst for q in subset for dst in a.targets(q, event))
-            moved = _closure(a, moved)
+            moved = _closure(a, frozenset(dst for q in subset for dst in a.targets(q, event)))
             if not moved:
                 continue
             if moved not in position:
                 position[moved] = len(order)
                 order.append(moved)
             moves.append((i, event, position[moved]))
-        i += 1
     names = name_classes([sorted(subset, key=a.sort_key) for subset in order])
-    states = tuple(names)
     transitions = frozenset((names[s], e, names[d]) for s, e, d in moves)
-    initials = frozenset(names[position[subset]] for subset in closed)
-    view = Automaton(states, initials, a.alphabet, transitions)
-    return view, tuple(names[position[subset]] for subset in closed)
-
-
-def determinize(a: Automaton) -> Automaton:
-    """Language-equivalent deterministic automaton via subset construction."""
-    view, _ = subset_views(a, [a.initials])
-    return view
+    return Automaton(tuple(names), frozenset(names[:1]), a.alphabet, transitions)
 
 
 def _check_composable(autos: Sequence[Automaton]) -> None:
@@ -348,10 +320,6 @@ def compose_all(autos: Sequence[Automaton]) -> Automaton:
     initials = frozenset(names[position[c]] for c in start_tuples)
     transitions = frozenset((names[s], e, names[d]) for s, e, d in moves)
     return Automaton(states, initials, alphabet, transitions)
-
-
-def parallel_compose(a1: Automaton, a2: Automaton) -> Automaton:
-    return compose_all([a1, a2])
 
 
 @dataclass(frozen=True)

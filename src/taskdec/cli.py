@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 
 from .automata import Automaton, AutomatonError, compose_all
-from .decomposability import decomposability_report
+from .decomposability import decomposability_report, local_views
 from .dot import dot_export
 from .failure import refined_alphabet, remains_decomposable
 from .projection import project_automaton
@@ -137,10 +137,7 @@ def cmd_project(args) -> int:
 def cmd_compose(args) -> int:
     if len(args.refs) == 1 and "#" not in args.refs[0]:
         sc, _ = _load_scenario(args.refs[0])
-        parts = [
-            project_automaton(sc.task_automaton, sc.d.local(agent))
-            for agent in sc.d.agents
-        ]
+        parts = [view for _, view in local_views(sc.task_automaton, sc.d)]
     else:
         parts = [_load_automaton(ref) for ref in args.refs]
     composed = compose_all(parts)
@@ -403,7 +400,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ScenarioError, AutomatonError, FileNotFoundError, RuntimeError) as exc:
+    except (ScenarioError, AutomatonError, OSError, UnicodeDecodeError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -96,8 +96,15 @@ def _colocated(e1: str, e2: str, d: DistributedAlphabet) -> bool:
 
 def local_views(a_s: Automaton, d: DistributedAlphabet) -> tuple[tuple[str, Automaton], ...]:
     """Each agent's projection of the task, in agent order."""
+    return tuple((agent, view) for agent, view, _ in _classed_views(a_s, d))
+
+
+def _classed_views(
+    a_s: Automaton, d: DistributedAlphabet
+) -> tuple[tuple[str, Automaton, dict[str, str]], ...]:
+    """Each agent's view with the view state each task state falls into, in agent order."""
     return tuple(
-        (agent, project_automaton(a_s, events))
+        (agent, *_project_with_classes(a_s, events))
         for agent, events in zip(d.agents, d.local_sets)
     )
 
@@ -198,19 +205,13 @@ def _weaves_outside(
     return (m for m in sorted(members) if not run_from(a_s, starts, m))
 
 
-def check_dc3(
-    a_s: Automaton, d: DistributedAlphabet, depth: int | None = None
-) -> ConditionReport:
+def check_dc3(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
     """No interleaving reassembled from the local views may escape the task.
 
-    Without a depth (exact mode) this is language inclusion of the composed
-    projections in the task.  With a depth (bounded mode) the interleaving
-    closure is rebuilt explicitly: every way of weaving together local views
-    of task strings up to that length (two of which must differ) has to be a
-    task string itself.
+    This is language inclusion of the composed projections in the task.
     """
     _require_task(a_s)
-    return _check_dc3(a_s, local_views(a_s, d), depth)
+    return _check_dc3(a_s, local_views(a_s, d), None)
 
 
 def _check_dc3(
@@ -218,8 +219,12 @@ def _check_dc3(
 ) -> ConditionReport:
     """DC3 over the given (agent, view) pairs; each view's alphabet is its agent's set.
 
-    Exact mode lists the illegal strings up to two events longer than the
-    shortest one, one per boundary where the composed views leave the task.
+    Without a depth (exact mode) this lists the illegal strings up to two
+    events longer than the shortest one, one per boundary where the composed
+    views leave the task.  With a depth (bounded mode) the interleaving
+    closure is rebuilt explicitly: every way of weaving together local views
+    of task strings up to that length (two of which must differ) has to be a
+    task string itself.
     """
     if depth is None:
         found = _missing_strings([v for _, v in views], a_s, slack=2)
@@ -282,23 +287,32 @@ def check_dc4(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
     order, and as ``string`` the rest of the local run plus the refused event.
     """
     _require_task(a_s)
-    witnesses = []
-    for agent, events in zip(d.agents, d.local_sets):
-        view, of_state = _project_with_classes(a_s, events)
-        witnesses.extend(_refusal_witnesses(a_s, view, of_state, events, agent))
+    return _check_dc4(a_s, _classed_views(a_s, d))
+
+
+def _check_dc4(
+    a_s: Automaton, classed: Sequence[tuple[str, Automaton, Mapping[str, str]]]
+) -> ConditionReport:
+    """DC4 over the given (agent, view, view state of each task state) triples."""
+    moves: dict[str, list[tuple[str, str]]] = {q: [] for q in a_s.states}
+    for src, e, dst in sorted(a_s.transitions):
+        moves[src].append((e, dst))
+    witnesses = [
+        w
+        for agent, view, of_state in classed
+        for w in _refusal_witnesses(a_s, moves, view, of_state, agent)
+    ]
     return ConditionReport("DC4", not witnesses, tuple(witnesses))
 
 
 def _refusal_witnesses(
     a_s: Automaton,
+    moves: Mapping[str, Sequence[tuple[str, str]]],
     view: Automaton,
     of_state: Mapping[str, str],
-    events: frozenset[str],
     agent: str,
 ) -> list[ConditionWitness]:
-    moves: dict[str, list[tuple[str, str]]] = {q: [] for q in a_s.states}
-    for src, e, dst in sorted(a_s.transitions):
-        moves[src].append((e, dst))
+    events = view.alphabet
     (q0,) = a_s.initials
     start = (q0, of_state[q0])
     parent: dict[tuple[str, str], tuple[tuple[str, str], str] | None] = {start: None}
@@ -436,11 +450,12 @@ def decomposability_report(
         raise AutomatonError(
             f"task events not owned by any agent: {sorted(missing)}"
         )
-    views = local_views(a_s, d)
+    classed = _classed_views(a_s, d)
+    views = tuple((agent, view) for agent, view, _ in classed)
     conditions = (
         *_check_dc12(a_s, d),
         _check_dc3(a_s, views, depth),
-        check_dc4(a_s, d),
+        _check_dc4(a_s, classed),
     )
     conjunction = all(c.holds for c in conditions)
     oracle = matches_task([v for _, v in views], a_s)

@@ -25,14 +25,14 @@ from .decomposability import (
     ConditionReport,
     ConditionWitness,
     _check_dc3,
+    _check_dc4,
     _check_dc12,
+    _classed_views,
     _require_task,
     branch_refuses,
     check_dc1,
     check_dc2,
     check_dc3,
-    check_dc4,
-    local_views,
 )
 from .projection import _project_with_classes, project_automaton
 from .relations import RelationVerdict, matches_task
@@ -219,7 +219,7 @@ def _failed_views(
 
 def _ef4_literal(
     a_s: Automaton,
-    d: DistributedAlphabet,
+    classed: Sequence[tuple[str, Automaton, Mapping[str, str]]],
     f: FailureSpec,
     refined: DistributedAlphabet,
 ) -> ConditionReport:
@@ -236,10 +236,9 @@ def _ef4_literal(
     local run plus the refused event.
     """
     witnesses = []
-    for agent in d.agents:
+    for agent, view, of_state in classed:
         lost = f.for_agent(agent)
         keep = refined.local(agent)
-        view, of_state = _project_with_classes(a_s, d.local(agent))
         linked: dict[str, set[str]] = {x: set() for x in view.states}
         for src, e, dst in view.transitions:
             if e in lost:
@@ -337,11 +336,8 @@ def check_ef(
     d: DistributedAlphabet,
     f: FailureSpec,
     which: str,
-    depth: int | None = None,
 ) -> ConditionReport:
     """One post-failure condition: DC1-DC4 over the refined alphabet.
-
-    EF3 is read exactly unless ``depth`` is given, as DC3 in ``check_dc3``.
 
     EF4 is evaluated along two independent routes (the refined-set branch
     condition and the literal failure-aware reading); the report notes
@@ -357,20 +353,26 @@ def check_ef(
     if which == "EF2":
         return replace(check_dc2(a_s, refined), condition="EF2")
     if which == "EF3":
-        return replace(check_dc3(a_s, refined, depth), condition="EF3")
+        return replace(check_dc3(a_s, refined), condition="EF3")
     if which == "EF4":
-        return _check_ef4(a_s, d, f, refined)
+        return _check_ef4(a_s, _classed_views(a_s, d), f, refined)
     raise AutomatonError(f"unknown condition {which!r}")
 
 
 def _check_ef4(
     a_s: Automaton,
-    d: DistributedAlphabet,
+    classed: Sequence[tuple[str, Automaton, Mapping[str, str]]],
     f: FailureSpec,
     refined: DistributedAlphabet,
 ) -> ConditionReport:
-    canonical = check_dc4(a_s, refined)
-    literal = _ef4_literal(a_s, d, f, refined)
+    """Both EF4 readings off the pre-failure views; the refined-set reading
+    projects the task again only for an agent that lost events."""
+    canonical = _check_dc4(a_s, tuple(
+        (agent, *_project_with_classes(a_s, refined.local(agent)))
+        if f.for_agent(agent) else (agent, view, of_state)
+        for agent, view, of_state in classed
+    ))
+    literal = _ef4_literal(a_s, classed, f, refined)
     agree = canonical.holds == literal.holds
     notes = (
         f"refined-set reading: {'holds' if canonical.holds else 'violated'}",
@@ -427,7 +429,8 @@ def remains_decomposable(
     _require_task(a_s)
     pv = passivity(d, f)
     refined = _refined(d, pv)
-    views = local_views(a_s, d)
+    classed = _classed_views(a_s, d)
+    views = tuple((agent, view) for agent, view, _ in classed)
     pre = matches_task([v for _, v in views], a_s)
     failed_locals = _failed_views(views, f, pv)
     oracle = matches_task([v for _, v in failed_locals], a_s)
@@ -444,7 +447,7 @@ def remains_decomposable(
         conditions = (
             *_check_dc12(a_s, refined, ("EF1", "EF2")),
             replace(_check_dc3(a_s, failed_locals, depth), condition="EF3"),
-            _check_ef4(a_s, d, f, refined),
+            _check_ef4(a_s, classed, f, refined),
         )
         conjunction = all(c.holds for c in conditions)
     else:

@@ -14,7 +14,7 @@ from .automata import (
     Automaton,
     AutomatonError,
     DistributedAlphabet,
-    parallel_compose,
+    compose_all,
 )
 from .failure import (
     FailureSpec,
@@ -73,7 +73,7 @@ class TeamDesign:
 
 
 def closed_loop(design: TeamDesign, agent: str) -> Automaton:
-    return parallel_compose(design.plant(agent), design.controller(agent))
+    return compose_all([design.plant(agent), design.controller(agent)])
 
 
 def verify_local(design: TeamDesign, agent: str) -> RelationVerdict:

@@ -16,10 +16,8 @@ from taskdec.automata import (
     defined,
     determinize,
     name_classes,
-    parallel_compose,
     run,
     run_from,
-    subset_views,
 )
 from taskdec.testkit import GenParams, gen_automaton
 import random
@@ -208,22 +206,6 @@ def test_determinize_eliminates_hidden_moves():
     assert bounded_language(det, 3) == bounded_language(a, 3)
 
 
-def test_subset_views_returns_seed_names():
-    a = build_automaton(
-        ["q0", "q1", "q2"],
-        "q0",
-        None,
-        [("q0", "a", "q1"), ("q0", "a", "q2"), ("q1", "b", "q2")],
-    )
-    view, (n1, n2) = subset_views(a, [["q1"], ["q2"]])
-    assert (n1, n2) == ("q1", "q2")
-    assert set(view.initials) == {"q1", "q2"}
-    with pytest.raises(AutomatonError):
-        subset_views(a, [])
-    with pytest.raises(AutomatonError):
-        subset_views(a, [["missing"]])
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_determinize_preserves_bounded_language(seed):
@@ -240,7 +222,7 @@ def test_determinize_preserves_bounded_language(seed):
 def test_compose_synchronizes_shared_and_interleaves_private():
     left = chain("a", "s")
     right = build_automaton(["p0", "p1"], "p0", None, [("p0", "s", "p1")])
-    both = parallel_compose(left, right)
+    both = compose_all([left, right])
     # "s" is shared, "a" is private to the left component.
     assert both.states[0] == "(q0,p0)"
     assert defined(both, ("a", "s"))
@@ -251,7 +233,7 @@ def test_compose_synchronizes_shared_and_interleaves_private():
 def test_compose_private_events_interleave_freely():
     left = chain("a")
     right = chain("b")
-    both = parallel_compose(left, right)
+    both = compose_all([left, right])
     assert bounded_language(both, 2) == {
         (),
         ("a",),
@@ -289,8 +271,8 @@ def test_compose_is_commutative_on_language(seed):
     p = GenParams(max_states=4, max_events=3)
     a = gen_automaton(rng, p)
     b = gen_automaton(rng, p)
-    fwd = parallel_compose(a, b)
-    rev = parallel_compose(b, a)
+    fwd = compose_all([a, b])
+    rev = compose_all([b, a])
     assert bounded_language(fwd, 5) == bounded_language(rev, 5)
 
 

@@ -60,6 +60,22 @@ def test_only_a_bare_name_falls_back_to_a_bundled_fixture(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("check-decomp", "{dir}"),
+        ("check-decomp", "{dir}/latin1.scn"),
+        ("gen", "--seed", "1", "-o", "{dir}"),
+        ("export-dot", "ex1.scn", "-o", "{dir}"),
+    ],
+)
+def test_unreadable_and_unwritable_paths_are_input_errors(tmp_path, capsys, argv):
+    (tmp_path / "latin1.scn").write_bytes("task: caf\xe9\n".encode("latin-1"))
+    rc, out, err = run(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("gen", "--max-states", "0"),
         ("gen", "--max-events", "0"),
         ("gen", "--agents", "0"),
@@ -215,10 +231,10 @@ def test_fuzz_clean_and_disagreeing_runs(tmp_path, capsys, monkeypatch):
     assert out.strip().splitlines()[-1] == "result: all checks agree"
     # A DC4 that convicts every task makes the decomposable draw at this
     # seed disagree with the oracle.
-    original = decomposability.check_dc4
+    original = decomposability._check_dc4
     monkeypatch.setattr(
         decomposability,
-        "check_dc4",
+        "_check_dc4",
         lambda *args, **kwargs: replace(original(*args, **kwargs), holds=False),
     )
     corpus = tmp_path / "corpus"

@@ -161,7 +161,7 @@ def test_dc3_bounded_mode_agrees_on_the_verdict():
     # produce the weave "b" (no task string projects to nothing on agent 1),
     # but it still convicts via "a c".
     task, d = weave_escapes()
-    report = check_dc3(task, d, depth=4)
+    report = decomposability_report(task, d, 4).conditions[2]
     assert not report.holds
     assert report.mode == "bounded"
     strings = {w.string for w in report.witnesses}
@@ -176,15 +176,16 @@ def test_dc3_bounded_mode_agrees_on_the_verdict():
 def test_dc3_bounded_depth_is_validated():
     task, d = weave_escapes()
     with pytest.raises(AutomatonError):
-        check_dc3(task, d, depth=-1)
+        decomposability_report(task, d, -1)
     with pytest.raises(AutomatonError):
-        check_dc3(task, d, depth=MAX_DEPTH + 1)
+        decomposability_report(task, d, MAX_DEPTH + 1)
 
 
 def test_dc3_holds_on_decomposable_fixture(scn):
     sc = scn("ex7")
     assert check_dc3(sc.task_automaton, sc.d).holds
-    assert check_dc3(sc.task_automaton, sc.d, depth=4).holds
+    bounded = decomposability_report(sc.task_automaton, sc.d, 4).conditions[2]
+    assert bounded.holds and bounded.mode == "bounded"
 
 
 def _bounded_dc3_reference(task, views, depth):

@@ -52,6 +52,17 @@ def test_quotes_and_backslashes_are_escaped():
     assert '  "s \\"x\\"" -> "s1" [label="a"];' in out
 
 
+def test_start_points_never_share_a_state_name():
+    # DOT reads "__start0" and __start0 as one node, so the state would be
+    # drawn as the invisible start point.
+    a = build_automaton(["__start0", "s1"], "s1", None, [("s1", "a", "__start0")])
+    out = dot_export(a)
+    points = [line.split()[0] for line in out.splitlines() if "style=invis" in line]
+    assert points and not set(points) & set(a.states)
+    assert '  "__start0";' in out
+    assert f'  {points[0]} -> "s1";' in out
+
+
 def test_graph_name_is_configurable():
     a = build_automaton(["q0"], "q0", ["a"], [])
     out = dot_export(a, name="plant 1")

@@ -13,7 +13,7 @@ from taskdec.automata import (
     build_automaton,
     run,
 )
-from taskdec import decomposability, failure, relations, topdown
+from taskdec import decomposability, failure, projection, relations, topdown
 from taskdec.decomposability import decomposability_report, replay_condition_witness
 from taskdec.failure import (
     FailureSpec,
@@ -28,6 +28,7 @@ from taskdec.failure import (
     replay_failure_witness,
     two_agent_analysis,
 )
+from taskdec.fixtures import fixture_names, load
 from taskdec.relations import replay_witness
 from taskdec.topdown import verify_team_under_failure
 from taskdec.testkit import (
@@ -224,9 +225,9 @@ def test_bounded_ef3_convicts_ex4_and_clears_ex1(scn):
     assert ("a", "c") in {w.string for w in ef3.witnesses}
     for w in ef3.witnesses:
         assert replay_condition_witness(task, d, w, dict(fr.sigma))
-    assert check_ef(task, d, f, "EF3", depth=4) == ef3
     sc = scn("ex1")
-    held = check_ef(sc.task_automaton, sc.d, sc.failures, "EF3", depth=4)
+    fr = remains_decomposable(sc.task_automaton, sc.d, sc.failures, depth=4)
+    held = next(c for c in fr.conditions if c.condition == "EF3")
     assert held.holds and held.mode == "bounded"
 
 
@@ -446,3 +447,32 @@ def test_each_report_classifies_composes_and_builds_loops_once(scn, monkeypatch)
     sc = scn("ex6")
     verify_team_under_failure(sc.team_design())
     assert calls["closed_loop"] == len(sc.d.agents)
+
+
+def test_each_report_projects_each_agent_once(monkeypatch):
+    # Every pass of a report reads the one view per agent the report built.
+    # A failure report projects again only where a passive loss changes what
+    # the agent sees: its failed view, and, when EF4 runs, its refined view.
+    calls = []
+    original = projection._project_with_classes
+
+    def counted(a, events):
+        calls.append(events)
+        return original(a, events)
+
+    for module in (projection, decomposability, failure):
+        monkeypatch.setattr(module, "_project_with_classes", counted)
+    totals = Counter()
+    for name in fixture_names():
+        sc = load(name)
+        task, d, f = sc.task_automaton, sc.d, sc.failures
+        calls.clear()
+        decomposability_report(task, d)
+        assert len(calls) == len(d.agents), name
+        totals["decomposability_report"] += len(calls)
+        calls.clear()
+        pv = remains_decomposable(task, d, f).passivity
+        lost = sum(1 for agent in d.agents if pv.passive_for(agent))
+        assert len(calls) == len(d.agents) + lost + (lost if pv.all_passive else 0), name
+        totals["remains_decomposable"] += len(calls)
+    assert totals == {"decomposability_report": 36, "remains_decomposable": 50}

@@ -20,11 +20,9 @@ PINNED = [
     "automata.name_classes(close)",
     "automata.build_alphabet(channels)",
     "cli.main(argv)",
-    "decomposability.check_dc3(depth)",
     "decomposability.decomposability_report(depth)",
     "decomposability.replay_condition_witness(sets)",
     "dot.dot_export(name)",
-    "failure.check_ef(depth)",
     "failure.remains_decomposable(depth)",
     "GenParams.seed",
     "GenParams.max_states",

@@ -196,10 +196,10 @@ def test_differential_suite_clean_window():
 def test_differential_suite_flags_and_persists_disagreements(tmp_path, monkeypatch):
     # DC4 is made to convict every task, so the decomposable draw at this
     # seed must be flagged by the report.
-    original = decomposability.check_dc4
+    original = decomposability._check_dc4
     monkeypatch.setattr(
         decomposability,
-        "check_dc4",
+        "_check_dc4",
         lambda *args, **kwargs: replace(original(*args, **kwargs), holds=False),
     )
     summary = differential_suite(

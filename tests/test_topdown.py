@@ -9,7 +9,7 @@ from taskdec.automata import (
     AutomatonError,
     build_alphabet,
     build_automaton,
-    parallel_compose,
+    compose_all,
 )
 from taskdec.failure import build_failures
 from taskdec.projection import project_automaton
@@ -66,7 +66,7 @@ def test_broken_controller_fails_locally(scn):
 def test_closed_loop_is_the_plant_controller_product(scn):
     design = scn("ex6").team_design()
     loop = closed_loop(design, "2")
-    again = parallel_compose(design.plant("2"), design.controller("2"))
+    again = compose_all([design.plant("2"), design.controller("2")])
     assert bisimilar(loop, again).holds
 
 
