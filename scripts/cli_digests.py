@@ -1,11 +1,9 @@
 """Record SHA-256 digests of the CLI's report output on every bundled fixture.
 
-For each of ``check-decomp``, ``check-failure`` and ``verify``, and for
-``check-decomp`` and ``check-failure`` again with ``--depth 4`` (the bounded
-reading of DC3/EF3), on each bundled fixture, the text and the ``--json``
-output are run through ``taskdec.cli.main``; the digest of stdout, the
-digest of stderr and the exit code are written to
-``tests/cli_output_digests.json``.  The same file also
+For each of ``check-decomp``, ``check-failure`` and ``verify``, on each
+bundled fixture, the text and the ``--json`` output are run through
+``taskdec.cli.main``; the digest of stdout, the digest of stderr and the exit
+code are written to ``tests/cli_output_digests.json``.  The same file also
 pins the reports on seeded generated draws (2 and 3 agents, acyclic and
 cyclic, at most 8 states, passive and non-passive failures): the digest of
 the JSON form of ``decomposability_report``, ``remains_decomposable``,
@@ -42,8 +40,6 @@ COMMANDS = (
     ("check-decomp",),
     ("check-failure",),
     ("verify",),
-    ("check-decomp", "--depth", "4"),
-    ("check-failure", "--depth", "4"),
 )
 
 DRAW_SEEDS = range(20)
@@ -61,7 +57,7 @@ def run_cli(argv: list[str]) -> dict:
 
 
 def compute_digests() -> dict[str, dict]:
-    """Digests keyed by the command line, e.g. ``"check-decomp ex1.scn --depth 4 --json"``."""
+    """Digests keyed by the command line, e.g. ``"check-decomp ex1.scn --json"``."""
     digests = {}
     for command, *options in COMMANDS:
         for name in fixture_names():

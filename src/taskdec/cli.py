@@ -90,13 +90,16 @@ def _load_text(path: str) -> str:
     raise FileNotFoundError(f"no such scenario file: {path}")
 
 
-def _load_scenario(ref: str) -> tuple[Scenario, str | None]:
+def _load_scenario(ref: str) -> Scenario:
     path, frag = _split_ref(ref)
-    return parse_scenario(_load_text(path)), frag
+    if frag is not None:
+        raise AutomatonError(f"{ref}: this command takes a whole scenario, not a #name")
+    return parse_scenario(_load_text(path))
 
 
 def _load_automaton(ref: str) -> Automaton:
-    sc, frag = _load_scenario(ref)
+    path, frag = _split_ref(ref)
+    sc = parse_scenario(_load_text(path))
     return sc.automaton(frag) if frag else sc.task_automaton
 
 
@@ -121,7 +124,7 @@ def _verdict_line(label: str, v: RelationVerdict, positive: str, negative: str) 
 
 
 def cmd_project(args) -> int:
-    sc, _ = _load_scenario(args.scenario)
+    sc = _load_scenario(args.scenario)
     d = refined_alphabet(sc.d, sc.failures) if args.refined else sc.d
     view = project_automaton(sc.task_automaton, d.local(args.agent))
     name = f"view_{args.agent}"
@@ -136,7 +139,7 @@ def cmd_project(args) -> int:
 
 def cmd_compose(args) -> int:
     if len(args.refs) == 1 and "#" not in args.refs[0]:
-        sc, _ = _load_scenario(args.refs[0])
+        sc = _load_scenario(args.refs[0])
         parts = [view for _, view in local_views(sc.task_automaton, sc.d)]
     else:
         parts = [_load_automaton(ref) for ref in args.refs]
@@ -160,14 +163,13 @@ def cmd_bisim(args) -> int:
 
 
 def cmd_check_decomp(args) -> int:
-    sc, _ = _load_scenario(args.scenario)
-    report = decomposability_report(sc.task_automaton, sc.d, args.depth)
+    sc = _load_scenario(args.scenario)
+    report = decomposability_report(sc.task_automaton, sc.d)
     if args.json:
         _print_json(report)
         return 0 if report.oracle.holds else 1
     for cond in report.conditions:
-        suffix = f" ({cond.mode})" if cond.mode != "exact" else ""
-        print(f"{cond.condition}: {'holds' if cond.holds else 'violated'}{suffix}")
+        print(f"{cond.condition}: {'holds' if cond.holds else 'violated'}")
         for w in cond.witnesses[:4]:
             _print_condition_witness(w)
     _verdict_line("oracle", report.oracle, "decomposable", "not decomposable")
@@ -194,8 +196,8 @@ def _print_condition_witness(w) -> None:
 
 def cmd_check_failure(args) -> int:
     if args.fixture_matrix:
-        if args.scenario is not None or args.depth is not None:
-            print("error: --fixture-matrix takes no scenario and no --depth", file=sys.stderr)
+        if args.scenario is not None:
+            print("error: --fixture-matrix takes no scenario", file=sys.stderr)
             return 2
         rows = fixtures.run_matrix()
         if args.json:
@@ -208,8 +210,8 @@ def cmd_check_failure(args) -> int:
     if args.scenario is None:
         print("error: a scenario file is required", file=sys.stderr)
         return 2
-    sc, _ = _load_scenario(args.scenario)
-    report = remains_decomposable(sc.task_automaton, sc.d, sc.failures, args.depth)
+    sc = _load_scenario(args.scenario)
+    report = remains_decomposable(sc.task_automaton, sc.d, sc.failures)
     if args.json:
         _print_json(report)
         return 0 if report.remains else 1
@@ -239,7 +241,7 @@ def cmd_check_failure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sc, _ = _load_scenario(args.scenario)
+    sc = _load_scenario(args.scenario)
     design = sc.team_design()
     report = verify_team_under_failure(design)
     if args.json:
@@ -349,16 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("check-decomp", cmd_check_decomp, "run the decomposability analysis")
     p.add_argument("scenario")
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=None,
-        help="use the bounded interleaving reading of DC3 at this depth",
-    )
 
     p = add("check-failure", cmd_check_failure, "run the failure survival analysis")
     p.add_argument("scenario", nargs="?")
-    p.add_argument("--depth", type=int, default=None)
     p.add_argument(
         "--fixture-matrix",
         action="store_true",

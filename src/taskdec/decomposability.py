@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -42,7 +41,6 @@ from .relations import (
 )
 
 ILLEGAL_WITNESS_CAP = 64
-TUPLE_BUDGET = 250_000
 PAIRWISE_DEPTH = 4
 
 
@@ -211,63 +209,21 @@ def check_dc3(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
     This is language inclusion of the composed projections in the task.
     """
     _require_task(a_s)
-    return _check_dc3(a_s, local_views(a_s, d), None)
+    return _check_dc3(a_s, local_views(a_s, d))
 
 
-def _check_dc3(
-    a_s: Automaton, views: Sequence[tuple[str, Automaton]], depth: int | None
-) -> ConditionReport:
+def _check_dc3(a_s: Automaton, views: Sequence[tuple[str, Automaton]]) -> ConditionReport:
     """DC3 over the given (agent, view) pairs; each view's alphabet is its agent's set.
 
-    Without a depth (exact mode) this lists the illegal strings up to two
-    events longer than the shortest one, one per boundary where the composed
-    views leave the task.  With a depth (bounded mode) the interleaving
-    closure is rebuilt explicitly: every way of weaving together local views
-    of task strings up to that length (two of which must differ) has to be a
-    task string itself.
+    Lists the illegal strings up to two events longer than the shortest one,
+    one per boundary where the composed views leave the task.
     """
-    if depth is None:
-        found = _missing_strings([v for _, v in views], a_s, slack=2)
-        witnesses = tuple(
-            ConditionWitness(kind="illegal-string", string=s)
-            for s in itertools.islice(found, ILLEGAL_WITNESS_CAP)
-        )
-        return ConditionReport("DC3", not witnesses, witnesses)
-    language = sorted(_bounded_from(a_s, a_s.initials, depth))
-    sets = {agent: view.alphabet for agent, view in views}
-    shared = frozenset().union(*(x & y for x, y in itertools.combinations(sets.values(), 2)))
-    core = [s for s in language if not shared.isdisjoint(s)]
-    # Each agent's local strings, each with the core strings it projects from.
-    sources = []
-    for events in sets.values():
-        froms: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
-        for s in core:
-            froms.setdefault(project_string(s, events), set()).add(s)
-        sources.append(froms)
-    if math.prod(len(froms) for froms in sources) > TUPLE_BUDGET:
-        raise AutomatonError(
-            "bounded interleaving check is too large here; use exact mode"
-        )
-    # A vector needs core strings that are not all one: it is left out only
-    # when every local string has one and the same core string as its only source.
-    vectors = (
-        vector
-        for vector in itertools.product(*map(sorted, sources))
-        if len({frozenset(froms[p]) for froms, p in zip(sources, vector)}) > 1
-        or len(sources[0][vector[0]]) > 1
+    found = _missing_strings([v for _, v in views], a_s, slack=2)
+    witnesses = tuple(
+        ConditionWitness(kind="illegal-string", string=s)
+        for s in itertools.islice(found, ILLEGAL_WITNESS_CAP)
     )
-    found = (
-        ConditionWitness(
-            kind="illegal-interleaving",
-            string=member,
-            note="woven from " + " | ".join(" ".join(p) or "(empty)" for p in vector),
-        )
-        for vector in vectors
-        for member in _weaves_outside(a_s, a_s.initials, dict(zip(sets, vector)), sets)
-    )
-    witnesses = tuple(itertools.islice(found, ILLEGAL_WITNESS_CAP))
-    notes = (f"interleaving closure holds {len(core)} of {len(language)} strings",)
-    return ConditionReport("DC3", not witnesses, witnesses, mode="bounded", notes=notes)
+    return ConditionReport("DC3", not witnesses, witnesses)
 
 
 def check_dc4(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
@@ -433,16 +389,11 @@ def _check_dc3_pairwise(a_s: Automaton, d: DistributedAlphabet) -> ConditionRepo
     )
 
 
-def decomposability_report(
-    a_s: Automaton,
-    d: DistributedAlphabet,
-    depth: int | None = None,
-) -> DecompReport:
+def decomposability_report(a_s: Automaton, d: DistributedAlphabet) -> DecompReport:
     """Run everything: the four conditions, the oracle, and their agreement.
 
-    DC3 is read exactly unless ``depth`` is given; then it is the bounded
-    interleaving reading at that depth.  With two agents the report also
-    carries the pairwise DC3 reading, which feeds no verdict.
+    With two agents the report also carries the pairwise DC3 reading, which
+    feeds no verdict.
     """
     _require_task(a_s)
     missing = a_s.alphabet - d.alphabet
@@ -454,7 +405,7 @@ def decomposability_report(
     views = tuple((agent, view) for agent, view, _ in classed)
     conditions = (
         *_check_dc12(a_s, d),
-        _check_dc3(a_s, views, depth),
+        _check_dc3(a_s, views),
         _check_dc4(a_s, classed),
     )
     conjunction = all(c.holds for c in conditions)
@@ -501,19 +452,19 @@ def replay_condition_witness(
         one = bool(run_from(a_s, [w.state], (e1, e2) + w.string))
         other = bool(run_from(a_s, [w.state], (e2, e1) + w.string))
         return one != other
-    if w.kind in ("illegal-string", "illegal-interleaving"):
-        if w.state is not None:
-            # Pairwise witnesses quantify from an arbitrary task state: both
-            # source strings must run there while the woven member must not.
-            sets_map = d.local_map
-            runnable = all(run_from(a_s, [w.state], s) for s in w.sources)
-            woven = sync_product_contains(
-                {a: project_string(w.sources[i], sets_map[a])
-                 for i, a in enumerate(list(sets_map))},
-                sets_map,
-                w.string,
-            ) if len(w.sources) == len(sets_map) else True
-            return runnable and woven and not run_from(a_s, [w.state], w.string)
+    if w.kind == "illegal-interleaving":
+        # Pairwise witnesses quantify from a task state: both source strings
+        # must run there, weave into the string, and the task must refuse it.
+        if len(d.agents) != 2 or len(w.sources) != 2:
+            return False
+        own = d.local_map
+        locals_ = {a: project_string(s, own[a]) for a, s in zip(d.agents, w.sources)}
+        return (
+            all(run_from(a_s, [w.state], s) for s in w.sources)
+            and sync_product_contains(locals_, own, w.string)
+            and not run_from(a_s, [w.state], w.string)
+        )
+    if w.kind == "illegal-string":
         # The composed views run exactly the owned strings each view runs projected.
         views = [v for _, v in local_views(a_s, d)]
         owned = frozenset().union(*(v.alphabet for v in views))

@@ -415,7 +415,6 @@ def remains_decomposable(
     a_s: Automaton,
     d: DistributedAlphabet,
     f: FailureSpec,
-    depth: int | None = None,
 ) -> FailureReport:
     """Does decomposability survive the failures?
 
@@ -424,7 +423,6 @@ def remains_decomposable(
     oracle: the failed local views, walked in lockstep against the task.
     With passive failures each failed view is, up to state names, the task
     projected onto the agent's refined set, so EF3 reads the failed views.
-    With a ``depth``, EF3 is the bounded interleaving reading.
     """
     _require_task(a_s)
     pv = passivity(d, f)
@@ -446,7 +444,7 @@ def remains_decomposable(
     if pv.all_passive:
         conditions = (
             *_check_dc12(a_s, refined, ("EF1", "EF2")),
-            replace(_check_dc3(a_s, failed_locals, depth), condition="EF3"),
+            replace(_check_dc3(a_s, failed_locals), condition="EF3"),
             _check_ef4(a_s, classed, f, refined),
         )
         conjunction = all(c.holds for c in conditions)

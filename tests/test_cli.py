@@ -142,7 +142,10 @@ def test_fixture_matrix_reports_every_fixture(capsys):
 def test_fixture_matrix_refuses_a_scenario_and_a_depth(capsys, extra):
     rc, out, err = run(capsys, "check-failure", "--fixture-matrix", *extra)
     assert (rc, out) == (2, "")
-    assert err == "error: --fixture-matrix takes no scenario and no --depth\n"
+    if "--depth" in extra:
+        assert "unrecognized arguments: --depth" in err
+    else:
+        assert err == "error: --fixture-matrix takes no scenario\n"
 
 
 def test_module_runs_as_a_script():
@@ -210,6 +213,16 @@ def test_project_emits_a_reusable_block(capsys):
 def test_project_onto_an_unknown_agent_is_an_input_error(capsys, refined):
     rc, out, err = run(capsys, "project", "ex1.scn", "--agent", "9", *refined)
     assert (rc, out, err) == (2, "", "error: unknown agent '9'\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [("check-decomp",), ("check-failure",), ("verify",), ("project", "--agent", "1")]
+)
+def test_scenario_commands_refuse_a_fragment(capsys, argv):
+    command, *options = argv
+    rc, out, err = run(capsys, command, "ex6.scn#task", *options)
+    assert (rc, out) == (2, "")
+    assert err == "error: ex6.scn#task: this command takes a whole scenario, not a #name\n"
 
 
 @pytest.mark.parametrize("trials", ["0", "-1"])

@@ -156,100 +156,21 @@ def test_dc3_exact_finds_minimal_illegal_strings():
         assert replay_condition_witness(task, d, w)
 
 
-def test_dc3_bounded_mode_agrees_on_the_verdict():
-    # The bounded route weaves pairs of genuine task strings, so it cannot
-    # produce the weave "b" (no task string projects to nothing on agent 1),
-    # but it still convicts via "a c".
-    task, d = weave_escapes()
-    report = decomposability_report(task, d, 4).conditions[2]
-    assert not report.holds
-    assert report.mode == "bounded"
-    strings = {w.string for w in report.witnesses}
-    assert ("a", "c") in strings
-    assert ("b",) not in strings
-    for w in report.witnesses:
-        assert w.kind == "illegal-interleaving"
-        assert not defined(task, w.string)
-        assert replay_condition_witness(task, d, w)
-
-
-def test_dc3_bounded_depth_is_validated():
-    task, d = weave_escapes()
-    with pytest.raises(AutomatonError):
-        decomposability_report(task, d, -1)
-    with pytest.raises(AutomatonError):
-        decomposability_report(task, d, MAX_DEPTH + 1)
+def test_an_interleaving_witness_replays_only_with_two_sources_on_two_agents(scn):
+    # Without the two source strings a witness names no weave, so it replays
+    # nowhere, even where the task refuses its string; a task with three
+    # agents has no pairwise reading at all.
+    for name in ("ex1", "ex7", "ex8"):
+        sc = scn(name)
+        (q0,) = sc.task_automaton.initials
+        for e in sorted(sc.task_automaton.alphabet):
+            w = ConditionWitness("illegal-interleaving", state=q0, string=(e,) * 5)
+            assert not replay_condition_witness(sc.task_automaton, sc.d, w), (name, e)
 
 
 def test_dc3_holds_on_decomposable_fixture(scn):
     sc = scn("ex7")
     assert check_dc3(sc.task_automaton, sc.d).holds
-    bounded = decomposability_report(sc.task_automaton, sc.d, 4).conditions[2]
-    assert bounded.holds and bounded.mode == "bounded"
-
-
-def _bounded_dc3_reference(task, views, depth):
-    """Bounded DC3's witnesses woven from every tuple of core strings, one per
-    agent and not all the same string, each tuple projected agent by agent."""
-    language = sorted(automata._bounded_from(task, task.initials, depth))
-    sets = {agent: view.alphabet for agent, view in views}
-    shared = frozenset().union(*(x & y for x, y in itertools.combinations(sets.values(), 2)))
-    core = [s for s in language if not shared.isdisjoint(s)]
-    vectors = {
-        tuple(project_string(s, events) for s, events in zip(combo, sets.values()))
-        for combo in itertools.product(core, repeat=len(sets))
-        if len(set(combo)) > 1
-    }
-    found = (
-        ConditionWitness(
-            kind="illegal-interleaving",
-            string=member,
-            note="woven from " + " | ".join(" ".join(p) or "(empty)" for p in vector),
-        )
-        for vector in sorted(vectors)
-        for member in decomposability._weaves_outside(
-            task, task.initials, dict(zip(sets, vector)), sets
-        )
-    )
-    return tuple(itertools.islice(found, ILLEGAL_WITNESS_CAP))
-
-
-def _two_orders_then_c(both_orders):
-    """a b d c, and with ``both_orders`` b a d c too; a, b and d are private, c is shared.
-
-    With both orders every agent's local string has two source strings, so
-    the bounded reading weaves them (d a b c escapes); with one order the
-    only weave source is a single string, which the reading leaves out."""
-    transitions = [("q0", "a", "q1"), ("q1", "b", "q2"), ("q2", "d", "q3"), ("q3", "c", "q4")]
-    if both_orders:
-        transitions += [("q0", "b", "q5"), ("q5", "a", "q2")]
-    task = build_automaton(sorted({t[0] for t in transitions} | {"q4"}), "q0", None, transitions)
-    return task, build_alphabet({"1": {"a", "c"}, "2": {"b", "c"}, "3": {"d", "c"}})
-
-
-def test_bounded_dc3_matches_the_tuple_product():
-    cases = [
-        (gen_scenario(GenParams(seed=seed, max_states=8, max_events=6,
-                                agent_count=2 + seed % 2, allow_cycles=seed % 3 == 0)), 3)
-        for seed in range(200)
-    ]
-    cases = [(sc.task_automaton, sc.d, depth) for sc, depth in cases]
-    cases += [(*_two_orders_then_c(True), 4), (*_two_orders_then_c(False), 4)]
-    convicted = []
-    for i, (task, d, depth) in enumerate(cases):
-        views = local_views(task, d)
-        report = decomposability._check_dc3(task, views, depth)
-        assert report.witnesses == _bounded_dc3_reference(task, views, depth), i
-        convicted.append(not report.holds)
-    assert sum(convicted[:200]) > 10 and convicted[200:] == [True, False]
-
-
-def test_bounded_dc3_decides_a_small_four_agent_task():
-    sc = gen_scenario(GenParams(seed=5059, max_states=8, max_events=7, agent_count=4,
-                                allow_cycles=True, max_branching=4))
-    report = decomposability_report(sc.task_automaton, sc.d, 3)
-    assert report.conditions[2].mode == "bounded"
-    assert report.consistent
 
 
 def test_dc4_tolerates_benign_nondeterminism(scn):

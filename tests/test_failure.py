@@ -219,16 +219,16 @@ def test_ex4_illegal_interleavings(scn):
 def test_bounded_ef3_convicts_ex4_and_clears_ex1(scn):
     sc = scn("ex4")
     task, d, f = sc.task_automaton, sc.d, sc.failures
-    fr = remains_decomposable(task, d, f, depth=4)
+    fr = remains_decomposable(task, d, f)
     ef3 = next(c for c in fr.conditions if c.condition == "EF3")
-    assert not ef3.holds and ef3.mode == "bounded"
+    assert not ef3.holds and ef3.mode == "exact"
     assert ("a", "c") in {w.string for w in ef3.witnesses}
     for w in ef3.witnesses:
         assert replay_condition_witness(task, d, w, dict(fr.sigma))
     sc = scn("ex1")
-    fr = remains_decomposable(sc.task_automaton, sc.d, sc.failures, depth=4)
+    fr = remains_decomposable(sc.task_automaton, sc.d, sc.failures)
     held = next(c for c in fr.conditions if c.condition == "EF3")
-    assert held.holds and held.mode == "bounded"
+    assert held.holds and held.mode == "exact"
 
 
 def test_ex5_branch_divergence_under_both_readings(scn):

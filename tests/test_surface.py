@@ -20,10 +20,8 @@ PINNED = [
     "automata.name_classes(close)",
     "automata.build_alphabet(channels)",
     "cli.main(argv)",
-    "decomposability.decomposability_report(depth)",
     "decomposability.replay_condition_witness(sets)",
     "dot.dot_export(name)",
-    "failure.remains_decomposable(depth)",
     "GenParams.seed",
     "GenParams.max_states",
     "GenParams.max_events",
