@@ -1,5 +1,4 @@
 """The four conditions against their compositional oracle, plus witness replay."""
-import itertools
 import random
 from dataclasses import replace
 
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 
 from taskdec import automata, decomposability, failure, relations
 from taskdec.automata import (
-    MAX_DEPTH,
     AutomatonError,
     build_alphabet,
     build_automaton,
@@ -30,7 +28,6 @@ from taskdec.decomposability import (
 )
 from taskdec.failure import refined_alphabet, remains_decomposable
 from taskdec.fixtures import fixture_names, load
-from taskdec.projection import project_string
 from taskdec.relations import language_included, replay_witness
 from taskdec.testkit import (
     GenParams,
