@@ -18,21 +18,14 @@ from .decomposability import (
     ConditionReport,
     ConditionWitness,
     DecompReport,
-    check_dc1,
-    check_dc2,
-    check_dc3,
-    check_dc4,
     decomposability_report,
     is_decomposable,
 )
 from .failure import (
     FailureReport,
     FailureSpec,
-    NonPassiveFailure,
     apply_failure,
     build_failures,
-    check_ef,
-    comm_maps,
     passivity,
     refined_alphabet,
     remains_decomposable,
@@ -56,12 +49,7 @@ from .relations import (
 )
 from .scenario import Scenario, ScenarioError, emit, parse_scenario
 from .testkit import GenParams, differential_suite, gen_scenario
-from .topdown import (
-    TeamDesign,
-    verify_local,
-    verify_team,
-    verify_team_under_failure,
-)
+from .topdown import TeamDesign, verify_team_under_failure
 from .dot import dot_export
 
 __version__ = "0.1.0"

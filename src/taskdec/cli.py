@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true", help="machine readable output")
+        if name not in ("gen", "export-dot"):  # these print scenario text or DOT only
+            p.add_argument("--json", action="store_true", help="machine readable output")
         return p
 
     p = add("project", cmd_project, "project the task onto one agent's events")

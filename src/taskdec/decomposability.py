@@ -83,9 +83,12 @@ class DecompReport:
         return compose_all([v for _, v in self.locals_])
 
 
-def _require_task(a_s: Automaton) -> None:
+def _require_task(a_s: Automaton, d: DistributedAlphabet) -> None:
     if not a_s.deterministic:
         raise AutomatonError("the task automaton must be deterministic")
+    missing = a_s.alphabet - d.alphabet
+    if missing:
+        raise AutomatonError(f"task events not owned by any agent: {sorted(missing)}")
 
 
 def _colocated(e1: str, e2: str, d: DistributedAlphabet) -> bool:
@@ -172,26 +175,6 @@ def _check_dc12(
     )
 
 
-def check_dc1(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
-    """Choices between two enabled events must be decidable somewhere.
-
-    Either one agent sees both events, or the choice must not matter: both
-    orders have to be possible.
-    """
-    _require_task(a_s)
-    return _check_dc12(a_s, d)[0]
-
-
-def check_dc2(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
-    """Where no agent sees both events, their order must never matter.
-
-    If one order of two events can run from a state, the other order must run
-    too, and the two orders must allow exactly the same continuations.
-    """
-    _require_task(a_s)
-    return _check_dc12(a_s, d)[1]
-
-
 def _weaves_outside(
     a_s: Automaton,
     starts: Iterable[str],
@@ -201,15 +184,6 @@ def _weaves_outside(
     """Interleavings of the local strings that the task cannot run from ``starts``."""
     members = enumerate_sync_product(locals_, sets, sum(len(p) for p in locals_.values()))
     return (m for m in sorted(members) if not run_from(a_s, starts, m))
-
-
-def check_dc3(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
-    """No interleaving reassembled from the local views may escape the task.
-
-    This is language inclusion of the composed projections in the task.
-    """
-    _require_task(a_s)
-    return _check_dc3(a_s, local_views(a_s, d))
 
 
 def _check_dc3(a_s: Automaton, views: Sequence[tuple[str, Automaton]]) -> ConditionReport:
@@ -226,8 +200,12 @@ def _check_dc3(a_s: Automaton, views: Sequence[tuple[str, Automaton]]) -> Condit
     return ConditionReport("DC3", not witnesses, witnesses)
 
 
-def check_dc4(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
+def _check_dc4(
+    a_s: Automaton, classed: Sequence[tuple[str, Automaton, Mapping[str, str]]]
+) -> ConditionReport:
     """No local state an agent may sit in refuses an own event the task allows.
+
+    Reads the given (agent, view, view state of each task state) triples.
 
     Walks pairs (task state, local view state) per agent: the task moves
     alone on events outside the agent's set, and task and view move together
@@ -242,14 +220,6 @@ def check_dc4(a_s: Automaton, d: DistributedAlphabet) -> ConditionReport:
     task's own run: the view state, the event, the two successors in view
     order, and as ``string`` the rest of the local run plus the refused event.
     """
-    _require_task(a_s)
-    return _check_dc4(a_s, _classed_views(a_s, d))
-
-
-def _check_dc4(
-    a_s: Automaton, classed: Sequence[tuple[str, Automaton, Mapping[str, str]]]
-) -> ConditionReport:
-    """DC4 over the given (agent, view, view state of each task state) triples."""
     moves: dict[str, list[tuple[str, str]]] = {q: [] for q in a_s.states}
     for src, e, dst in sorted(a_s.transitions):
         moves[src].append((e, dst))
@@ -346,7 +316,7 @@ def branch_refuses(view: Automaton, x1: str, x2: str, string: Sequence[str]) -> 
 
 def is_decomposable(a_s: Automaton, d: DistributedAlphabet) -> RelationVerdict:
     """Ground truth: do the composed local views match the task step for step?"""
-    _require_task(a_s)
+    _require_task(a_s, d)
     return matches_task([v for _, v in local_views(a_s, d)], a_s)
 
 
@@ -395,12 +365,7 @@ def decomposability_report(a_s: Automaton, d: DistributedAlphabet) -> DecompRepo
     With two agents the report also carries the pairwise DC3 reading, which
     feeds no verdict.
     """
-    _require_task(a_s)
-    missing = a_s.alphabet - d.alphabet
-    if missing:
-        raise AutomatonError(
-            f"task events not owned by any agent: {sorted(missing)}"
-        )
+    _require_task(a_s, d)
     classed = _classed_views(a_s, d)
     views = tuple((agent, view) for agent, view, _ in classed)
     conditions = (

@@ -30,9 +30,6 @@ from .decomposability import (
     _classed_views,
     _require_task,
     branch_refuses,
-    check_dc1,
-    check_dc2,
-    check_dc3,
 )
 from .projection import _project_with_classes, project_automaton
 from .relations import RelationVerdict, matches_task
@@ -40,10 +37,6 @@ from .relations import RelationVerdict, matches_task
 PASSIVE = "passive"
 NOT_RECEIVED = "not-received"
 NO_BACKUP = "relay-without-backup"
-
-
-class NonPassiveFailure(AutomatonError):
-    """A condition check was asked to run on a non-passive failure."""
 
 
 @dataclass(frozen=True)
@@ -85,26 +78,6 @@ def build_failures(failed: Mapping[str, Iterable[str]]) -> FailureSpec:
 
 
 @dataclass(frozen=True)
-class CommMaps:
-    """Who sends each event to whom, derived from the channels."""
-
-    sends_to: dict[tuple[str, str], frozenset[str]]
-    receives_from: dict[tuple[str, str], frozenset[str]]
-
-
-def comm_maps(d: DistributedAlphabet) -> CommMaps:
-    sends: dict[tuple[str, str], set[str]] = {}
-    receives: dict[tuple[str, str], set[str]] = {}
-    for event, sender, receiver in d.channels:
-        sends.setdefault((event, sender), set()).add(receiver)
-        receives.setdefault((event, receiver), set()).add(sender)
-    return CommMaps(
-        {k: frozenset(v) for k, v in sends.items()},
-        {k: frozenset(v) for k, v in receives.items()},
-    )
-
-
-@dataclass(frozen=True)
 class PassivityEntry:
     agent: str
     event: str
@@ -129,7 +102,11 @@ class PassivityVerdict:
 
 def passivity(d: DistributedAlphabet, f: FailureSpec) -> PassivityVerdict:
     """Classify every failed event: received-only with backed-up forwarding?"""
-    maps = comm_maps(d)
+    sends_to: dict[tuple[str, str], set[str]] = {}
+    receives_from: dict[tuple[str, str], set[str]] = {}
+    for event, sender, receiver in d.channels:
+        sends_to.setdefault((event, sender), set()).add(receiver)
+        receives_from.setdefault((event, receiver), set()).add(sender)
     entries = []
     for agent, events in f.failed:
         local = d.local(agent)
@@ -138,20 +115,18 @@ def passivity(d: DistributedAlphabet, f: FailureSpec) -> PassivityVerdict:
                 raise AutomatonError(
                     f"event {event!r} cannot fail in agent {agent!r}: not in its set"
                 )
-            receives = maps.receives_from.get((event, agent), frozenset())
-            if not receives:
+            if (event, agent) not in receives_from:
                 entries.append(
                     PassivityEntry(agent, event, False, NOT_RECEIVED)
                 )
                 continue
-            fed = maps.sends_to.get((event, agent), frozenset())
             backed_up = all(
                 any(
-                    k in maps.sends_to.get((event, j), frozenset())
+                    k in sends_to.get((event, j), ())
                     for j in d.agents
                     if j not in (agent, k)
                 )
-                for k in fed
+                for k in sends_to.get((event, agent), ())
             )
             entries.append(
                 PassivityEntry(
@@ -331,34 +306,6 @@ def _literal_witness(
     )
 
 
-def check_ef(
-    a_s: Automaton,
-    d: DistributedAlphabet,
-    f: FailureSpec,
-    which: str,
-) -> ConditionReport:
-    """One post-failure condition: DC1-DC4 over the refined alphabet.
-
-    EF4 is evaluated along two independent routes (the refined-set branch
-    condition and the literal failure-aware reading); the report notes
-    whether they agree.
-    """
-    pv = passivity(d, f)
-    if not pv.all_passive:
-        bad = ", ".join(f"{e.event} in agent {e.agent} ({e.reason})" for e in pv.non_passive)
-        raise NonPassiveFailure(f"non-passive failure present: {bad}")
-    refined = _refined(d, pv)
-    if which == "EF1":
-        return replace(check_dc1(a_s, refined), condition="EF1")
-    if which == "EF2":
-        return replace(check_dc2(a_s, refined), condition="EF2")
-    if which == "EF3":
-        return replace(check_dc3(a_s, refined), condition="EF3")
-    if which == "EF4":
-        return _check_ef4(a_s, _classed_views(a_s, d), f, refined)
-    raise AutomatonError(f"unknown condition {which!r}")
-
-
 def _check_ef4(
     a_s: Automaton,
     classed: Sequence[tuple[str, Automaton, Mapping[str, str]]],
@@ -424,7 +371,7 @@ def remains_decomposable(
     With passive failures each failed view is, up to state names, the task
     projected onto the agent's refined set, so EF3 reads the failed views.
     """
-    _require_task(a_s)
+    _require_task(a_s, d)
     pv = passivity(d, f)
     refined = _refined(d, pv)
     classed = _classed_views(a_s, d)

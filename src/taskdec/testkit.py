@@ -221,7 +221,7 @@ def direct_ef12(
 
     Works straight off the surviving sets written as plain differences and
     compares continuations by bounded enumeration instead of the graph walk,
-    so it shares no code with check_ef.
+    so it shares no code with remains_decomposable's EF1/EF2.
     """
     survived = [
         d.local(agent) - f.for_agent(agent) for agent in d.agents

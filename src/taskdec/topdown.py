@@ -76,18 +76,6 @@ def closed_loop(design: TeamDesign, agent: str) -> Automaton:
     return compose_all([design.plant(agent), design.controller(agent)])
 
 
-def verify_local(design: TeamDesign, agent: str) -> RelationVerdict:
-    """Does the agent's closed loop match its view of the task?"""
-    view = project_automaton(design.task, design.d.local(agent))
-    return bisimilar(closed_loop(design, agent), view)
-
-
-def verify_team(design: TeamDesign) -> RelationVerdict:
-    """Do the composed closed loops reproduce the task?"""
-    loops = [closed_loop(design, agent) for agent in design.agents]
-    return matches_task(loops, design.task)
-
-
 @dataclass(frozen=True)
 class TeamFailureReport:
     locals_: tuple[tuple[str, RelationVerdict], ...]

@@ -200,6 +200,14 @@ def test_export_dot_defaults_and_output_file(tmp_path, capsys):
     assert out.splitlines()[0] == 'digraph "fancy" {'
 
 
+def test_json_is_refused_where_nothing_is_printed_as_json(capsys):
+    # gen prints scenario text and export-dot prints DOT; neither has a JSON form.
+    for argv in (("gen", "--seed", "3", "--json"), ("export-dot", "ex1.scn", "--json")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert "unrecognized arguments: --json" in err, argv
+
+
 def test_project_emits_a_reusable_block(capsys):
     rc, out, _ = run(capsys, "project", "ex1.scn", "--agent", "1")
     assert rc == 0

@@ -17,16 +17,12 @@ from taskdec.automata import (
 from taskdec.decomposability import (
     ILLEGAL_WITNESS_CAP,
     ConditionWitness,
-    check_dc1,
-    check_dc2,
-    check_dc3,
-    check_dc4,
     decomposability_report,
     is_decomposable,
     local_views,
     replay_condition_witness,
 )
-from taskdec.failure import refined_alphabet, remains_decomposable
+from taskdec.failure import FailureSpec, refined_alphabet, remains_decomposable
 from taskdec.fixtures import fixture_names, load
 from taskdec.relations import language_included, replay_witness
 from taskdec.testkit import (
@@ -36,6 +32,11 @@ from taskdec.testkit import (
     gen_failures,
     gen_scenario,
 )
+
+
+def condition(task, d, name):
+    """One of DC1-DC4, read off the report."""
+    return {c.condition: c for c in decomposability_report(task, d).conditions}[name]
 
 
 def simple_choice():
@@ -86,7 +87,7 @@ def weave_escapes():
 
 def test_dc1_violated_without_colocation_or_both_orders():
     task, d = simple_choice()
-    report = check_dc1(task, d)
+    report = condition(task, d, "DC1")
     assert not report.holds
     (w,) = report.witnesses
     assert (w.kind, w.state, w.events) == ("selection", "q0", ("a", "b"))
@@ -96,7 +97,7 @@ def test_dc1_violated_without_colocation_or_both_orders():
 def test_dc1_colocation_escape(scn):
     # In ex2 the same choice is fine because one agent sees both events.
     sc = scn("ex2")
-    assert check_dc1(sc.task_automaton, sc.d).holds
+    assert condition(sc.task_automaton, sc.d, "DC1").holds
 
 
 def test_dc1_both_orders_escape():
@@ -112,19 +113,19 @@ def test_dc1_both_orders_escape():
         ],
     )
     d = build_alphabet({"1": {"a"}, "2": {"b"}})
-    assert check_dc1(task, d).holds
+    assert condition(task, d, "DC1").holds
 
 
 def test_dc2_violated_when_orders_diverge():
     task, d = order_matters()
-    report = check_dc2(task, d)
+    report = condition(task, d, "DC2")
     assert not report.holds
     (w,) = report.witnesses
     assert (w.kind, w.state, w.events) == ("order", "q0", ("a", "b"))
     assert w.string == ("c",)
     assert replay_condition_witness(task, d, w)
     # DC1 is satisfied there: both orders do run.
-    assert check_dc1(task, d).holds
+    assert condition(task, d, "DC1").holds
 
 
 def test_dc2_one_sided_order():
@@ -132,7 +133,7 @@ def test_dc2_one_sided_order():
         ["q0", "q1", "q2"], "q0", None, [("q0", "a", "q1"), ("q1", "b", "q2")]
     )
     d = build_alphabet({"1": {"a"}, "2": {"b"}})
-    report = check_dc2(task, d)
+    report = condition(task, d, "DC2")
     assert not report.holds
     (w,) = report.witnesses
     assert w.note == "only one order of the two events can run"
@@ -141,10 +142,10 @@ def test_dc2_one_sided_order():
 
 def test_dc3_exact_finds_minimal_illegal_strings():
     task, d = weave_escapes()
-    assert check_dc1(task, d).holds
-    assert check_dc2(task, d).holds
-    assert check_dc4(task, d).holds
-    report = check_dc3(task, d)
+    assert condition(task, d, "DC1").holds
+    assert condition(task, d, "DC2").holds
+    assert condition(task, d, "DC4").holds
+    report = condition(task, d, "DC3")
     assert not report.holds
     strings = {w.string for w in report.witnesses}
     assert strings == {("b",), ("a", "c")}
@@ -167,20 +168,20 @@ def test_an_interleaving_witness_replays_only_with_two_sources_on_two_agents(scn
 
 def test_dc3_holds_on_decomposable_fixture(scn):
     sc = scn("ex7")
-    assert check_dc3(sc.task_automaton, sc.d).holds
+    assert condition(sc.task_automaton, sc.d, "DC3").holds
 
 
 def test_dc4_tolerates_benign_nondeterminism(scn):
     # ex8: one view branches on a, but both branches have the same future.
     sc = scn("ex8")
-    assert check_dc4(sc.task_automaton, sc.d).holds
+    assert condition(sc.task_automaton, sc.d, "DC4").holds
     assert is_decomposable(sc.task_automaton, sc.d).holds
 
 
 def test_dc4_violated_with_frozen_witness(scn):
     sc = scn("ex9")
     task, d = sc.task_automaton, sc.d
-    report = check_dc4(task, d)
+    report = condition(task, d, "DC4")
     assert not report.holds
     (w,) = report.witnesses
     assert w.kind == "conflicting-branches"
@@ -269,13 +270,28 @@ def test_report_rejects_unowned_events():
         decomposability_report(task, d)
 
 
+def test_every_entry_rejects_unowned_events_alike():
+    # z has no owner: no entry may answer as if the task could be split.
+    task = build_automaton(
+        ["q0", "q1", "q2"], "q0", None, [("q0", "a", "q1"), ("q1", "z", "q2")]
+    )
+    d = build_alphabet({"1": {"a"}, "2": {"a"}})
+    for check in (
+        lambda: decomposability_report(task, d),
+        lambda: is_decomposable(task, d),
+        lambda: remains_decomposable(task, d, FailureSpec()),
+    ):
+        with pytest.raises(AutomatonError, match=r"^task events not owned by any agent: \['z'\]$"):
+            check()
+
+
 def test_nondeterministic_task_rejected():
     fork = build_automaton(
         ["q0", "q1", "q2"], "q0", None, [("q0", "a", "q1"), ("q0", "a", "q2")]
     )
     d = build_alphabet({"1": {"a"}})
     with pytest.raises(AutomatonError):
-        check_dc1(fork, d)
+        decomposability_report(fork, d)
     with pytest.raises(AutomatonError):
         is_decomposable(fork, d)
 

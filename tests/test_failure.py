@@ -17,10 +17,8 @@ from taskdec import decomposability, failure, projection, relations, topdown
 from taskdec.decomposability import decomposability_report, replay_condition_witness
 from taskdec.failure import (
     FailureSpec,
-    NonPassiveFailure,
     apply_failure,
     build_failures,
-    check_ef,
     ef_dual_agreement,
     passivity,
     refined_alphabet,
@@ -254,18 +252,6 @@ def test_ex5_branch_divergence_under_both_readings(scn):
     assert fr.oracle.witness.prefix == ("c",)
     assert fr.oracle.witness.event == "a"
     assert not fr.remains and fr.consistent
-
-
-def test_check_ef_requires_passive_failures(scn):
-    sc = scn("ex1_source")
-    with pytest.raises(NonPassiveFailure, match="not-received"):
-        check_ef(sc.task_automaton, sc.d, sc.failures, "EF1")
-
-
-def test_check_ef_rejects_unknown_condition(scn):
-    sc = scn("ex1")
-    with pytest.raises(AutomatonError):
-        check_ef(sc.task_automaton, sc.d, sc.failures, "EF9")
 
 
 def test_two_agent_quadrants_flag_the_broken_order():

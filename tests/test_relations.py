@@ -15,10 +15,7 @@ from taskdec.automata import (
     determinize,
 )
 from taskdec.decomposability import (
-    check_dc1,
-    check_dc2,
-    check_dc3,
-    check_dc4,
+    decomposability_report,
     is_decomposable,
     local_views,
 )
@@ -308,7 +305,7 @@ def test_seed8_cyclic_three_agent_oracle():
         "branch", ("a",), "a", "left")
     assert replay_witness(composition, task, v.witness)
     assert is_decomposable(task, d).holds is False
-    conditions = [check(task, d).holds for check in (check_dc1, check_dc2, check_dc3, check_dc4)]
+    conditions = [c.holds for c in decomposability_report(task, d).conditions]
     assert all(conditions) is False
 
 

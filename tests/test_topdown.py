@@ -18,8 +18,6 @@ from taskdec.testkit import GenParams, gen_scenario, universal_loop
 from taskdec.topdown import (
     TeamDesign,
     closed_loop,
-    verify_local,
-    verify_team,
     verify_team_under_failure,
 )
 
@@ -58,9 +56,10 @@ def test_broken_controller_fails_locally(scn):
             (a, dead if a == "1" else c) for a, c in design.controllers
         ),
     )
-    assert not verify_local(broken, "1").holds
-    assert not verify_team(broken).holds
-    assert verify_local(design, "1").holds
+    rep = verify_team_under_failure(broken)
+    assert not dict(rep.locals_)["1"].holds
+    assert not rep.team.holds
+    assert dict(verify_team_under_failure(design).locals_)["1"].holds
 
 
 def test_closed_loop_is_the_plant_controller_product(scn):
@@ -124,9 +123,9 @@ def projection_controllers(sc):
 
 
 def test_projection_controllers_reproduce_ex1(scn):
-    design = projection_controllers(scn("ex1"))
-    assert all(verify_local(design, a).holds for a in design.agents)
-    assert verify_team(design).holds
+    rep = verify_team_under_failure(projection_controllers(scn("ex1")))
+    assert all(v.holds for _, v in rep.locals_)
+    assert rep.team.holds
 
 
 @settings(max_examples=25, deadline=None)
@@ -139,11 +138,9 @@ def test_projection_controllers_work_on_decomposable_scenarios(seed):
         sc = gen_scenario(p, require_decomposable=True)
     except RuntimeError:
         return
-    design = projection_controllers(sc)
-    for agent in design.agents:
-        assert verify_local(design, agent).holds
-    assert verify_team(design).holds
-    rep = verify_team_under_failure(design)
+    rep = verify_team_under_failure(projection_controllers(sc))
+    assert all(v.holds for _, v in rep.locals_)
+    assert rep.team.holds
     assert rep.holds and rep.consistent
 
 
