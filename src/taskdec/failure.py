@@ -103,10 +103,9 @@ class PassivityVerdict:
 def passivity(d: DistributedAlphabet, f: FailureSpec) -> PassivityVerdict:
     """Classify every failed event: received-only with backed-up forwarding?"""
     sends_to: dict[tuple[str, str], set[str]] = {}
-    receives_from: dict[tuple[str, str], set[str]] = {}
     for event, sender, receiver in d.channels:
         sends_to.setdefault((event, sender), set()).add(receiver)
-        receives_from.setdefault((event, receiver), set()).add(sender)
+    received = {(event, receiver) for event, _, receiver in d.channels}
     entries = []
     for agent, events in f.failed:
         local = d.local(agent)
@@ -115,7 +114,7 @@ def passivity(d: DistributedAlphabet, f: FailureSpec) -> PassivityVerdict:
                 raise AutomatonError(
                     f"event {event!r} cannot fail in agent {agent!r}: not in its set"
                 )
-            if (event, agent) not in receives_from:
+            if (event, agent) not in received:
                 entries.append(
                     PassivityEntry(agent, event, False, NOT_RECEIVED)
                 )
