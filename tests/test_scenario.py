@@ -1,6 +1,4 @@
 """The scenario text format: canonical emission and located parse errors."""
-import importlib.util
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -179,20 +177,3 @@ def test_mutated_fixtures_parse_or_fail_with_a_located_error(text):
         return
     canonical = emit(sc)
     assert emit(parse_scenario(canonical)) == canonical
-
-
-def test_build_fixtures_script_reproduces_the_bundled_fixtures(tmp_path, monkeypatch):
-    # scripts/build_fixtures.py is the declared source of the bundled
-    # fixtures: its output must match them byte for byte.
-    path = Path(__file__).resolve().parent.parent / "scripts" / "build_fixtures.py"
-    spec = importlib.util.spec_from_file_location("build_fixtures", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "OUT", tmp_path)
-    script.main()
-    bundled = Path(fixtures.__file__).resolve().parent
-    expected = sorted(p.name for p in bundled.iterdir() if p.suffix in (".scn", ".json"))
-    assert len(expected) == 14
-    assert sorted(p.name for p in tmp_path.iterdir()) == expected
-    for name in expected:
-        assert (tmp_path / name).read_bytes() == (bundled / name).read_bytes(), name
