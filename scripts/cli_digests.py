@@ -10,15 +10,18 @@ the JSON form of ``decomposability_report``, ``remains_decomposable``,
 ``verify_team_under_failure`` (universal-loop plants, the views as
 controllers) and, with two agents, ``two_agent_analysis``.
 ``tests/test_cli.py`` compares the current output against that file, so any
-change to a report's bytes shows up as a test failure.  When it rewrites the
-file, the script prints each entry that changed, was added or was removed.
+change to a report's bytes shows up as a test failure.
 
-Run from the repository root after an intended output change:
+Run from the repository root.  Without flags the script only compares: it
+prints each entry that changed, was added or was removed, and exits 1 if any
+did, 0 if none did.  After an intended output change, ``--write`` re-pins the
+file and prints the same list:
 
-    PYTHONPATH=src python scripts/cli_digests.py
+    PYTHONPATH=src python scripts/cli_digests.py [--write]
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -125,15 +128,23 @@ def entry_changes(old: dict, new: dict) -> list[str]:
     return lines
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Compare or re-pin the CLI output digests.")
+    parser.add_argument("--write", action="store_true", help=f"re-pin {OUT.name}")
+    args = parser.parse_args(argv)
     old = json.loads(OUT.read_text()) if OUT.exists() else {}
     new = compute_digests()
-    OUT.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
     changes = entry_changes(old, new)
     for line in changes:
         print(line)
-    print(f"wrote {OUT} ({len(changes)} of {len(new)} entries changed, added or removed)")
+    summary = f"{len(changes)} of {len(new)} entries changed, added or removed"
+    if args.write:
+        OUT.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {OUT} ({summary})")
+        return 0
+    print(f"compared with {OUT} ({summary}); --write re-pins it")
+    return 1 if changes else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

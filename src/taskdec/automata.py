@@ -380,11 +380,6 @@ class DistributedAlphabet:
         except KeyError:
             raise AutomatonError(f"unknown agent {agent!r}") from None
 
-    def loc(self, event: str) -> frozenset[str]:
-        return frozenset(
-            agent for agent, events in self.local_map.items() if event in events
-        )
-
 
 def build_alphabet(
     local_sets: Mapping[str, Iterable[str]],

@@ -194,6 +194,12 @@ def _print_condition_witness(w) -> None:
     print("  - " + ", ".join(bits))
 
 
+def _print_passivity(passivity) -> None:
+    for entry in passivity.entries:
+        tag = "passive" if entry.passive else f"NOT passive: {entry.reason}"
+        print(f"failure of {entry.event} in agent {entry.agent}: {tag}")
+
+
 def cmd_check_failure(args) -> int:
     if args.fixture_matrix:
         if args.scenario is not None:
@@ -216,9 +222,7 @@ def cmd_check_failure(args) -> int:
         _print_json(report)
         return 0 if report.remains else 1
     _verdict_line("pre-failure", report.pre, "decomposable", "not decomposable")
-    for entry in report.passivity.entries:
-        tag = "passive" if entry.passive else f"NOT passive: {entry.reason}"
-        print(f"failure of {entry.event} in agent {entry.agent}: {tag}")
+    _print_passivity(report.passivity)
     for agent, events in report.sigma:
         print(f"surviving events of agent {agent}: " + (" ".join(sorted(events)) or "(none)"))
     for cond in report.conditions:
@@ -251,9 +255,7 @@ def cmd_verify(args) -> int:
         _verdict_line(f"local loop {agent}", verdict, "matches its view", "mismatch")
     _verdict_line("team", report.team, "reproduces the task", "mismatch")
     if not sc.failures.empty:
-        for entry in report.passivity.entries:
-            tag = "passive" if entry.passive else f"NOT passive: {entry.reason}"
-            print(f"failure of {entry.event} in agent {entry.agent}: {tag}")
+        _print_passivity(report.passivity)
         for agent, verdict in report.loop_links:
             _verdict_line(
                 f"failed loop {agent} vs failed view", verdict, "matches", "mismatch"
@@ -328,8 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
+        form = p.add_mutually_exclusive_group()
         if name not in ("gen", "export-dot"):  # these print scenario text or DOT only
-            p.add_argument("--json", action="store_true", help="machine readable output")
+            form.add_argument("--json", action="store_true", help="machine readable output")
+        if name in ("project", "compose"):
+            form.add_argument("--dot", action="store_true", help="emit DOT instead of text")
         return p
 
     p = add("project", cmd_project, "project the task onto one agent's events")
@@ -340,11 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="project onto the events surviving the scenario's failures",
     )
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of text")
 
     p = add("compose", cmd_compose, "compose automata (or all task projections)")
     p.add_argument("refs", nargs="+", metavar="REF", help="file.scn or file.scn#name")
-    p.add_argument("--dot", action="store_true")
 
     p = add("bisim", cmd_bisim, "compare two automata up to bisimilarity")
     p.add_argument("left", metavar="REF")

@@ -284,8 +284,6 @@ def test_alphabet_accessors():
     assert d.agents == ("1", "2")
     assert d.alphabet == {"a", "b"}
     assert d.local("1") == {"a", "b"}
-    assert d.loc("b") == {"1", "2"}
-    assert d.loc("a") == {"1"}
     with pytest.raises(AutomatonError):
         d.local("3")
 

@@ -208,6 +208,16 @@ def test_json_is_refused_where_nothing_is_printed_as_json(capsys):
         assert "unrecognized arguments: --json" in err, argv
 
 
+def test_dot_and_json_are_exclusive(capsys):
+    for argv in (
+        ("project", "ex1.scn", "--agent", "1", "--dot", "--json"),
+        ("compose", "ex1.scn", "--json", "--dot"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert "not allowed with argument" in err, argv
+
+
 def test_project_emits_a_reusable_block(capsys):
     rc, out, _ = run(capsys, "project", "ex1.scn", "--agent", "1")
     assert rc == 0
@@ -301,6 +311,27 @@ def test_digest_script_names_the_entries_it_moves():
         "changed: moved",
     ]
     assert script.entry_changes(new, new) == []
+
+
+def test_digest_script_writes_only_when_asked(tmp_path, monkeypatch, capsys):
+    # Without flags the script compares: it names the moved entry, exits 1
+    # and leaves the file as it was.  --write re-pins it.
+    script = _load_digest_script()
+    pinned = json.loads(script.OUT.read_text())
+    key = "check-decomp ex1.scn --json"
+    stale = tmp_path / "digests.json"
+    stale.write_text(json.dumps({**pinned, key: {**pinned[key], "exit": 99}}))
+    before = stale.read_bytes()
+    monkeypatch.setattr(script, "OUT", stale)
+    assert script.main([]) == 1
+    assert stale.read_bytes() == before
+    assert f"changed: {key}" in capsys.readouterr().out.splitlines()
+    assert script.main(["--write"]) == 0
+    assert json.loads(stale.read_text()) == pinned
+    assert script.main([]) == 0
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--wrte"])
+    assert exc.value.code == 2
 
 
 def _bodies_and_relations(doc) -> list[str]:
