@@ -330,11 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
-        form = p.add_mutually_exclusive_group()
-        if name not in ("gen", "export-dot"):  # these print scenario text or DOT only
-            form.add_argument("--json", action="store_true", help="machine readable output")
         if name in ("project", "compose"):
+            form = p.add_mutually_exclusive_group()
+            form.add_argument("--json", action="store_true", help="machine readable output")
             form.add_argument("--dot", action="store_true", help="emit DOT instead of text")
+        elif name not in ("gen", "export-dot"):  # these print scenario text or DOT only
+            p.add_argument("--json", action="store_true", help="machine readable output")
         return p
 
     p = add("project", cmd_project, "project the task onto one agent's events")

@@ -218,6 +218,25 @@ def test_dot_and_json_are_exclusive(capsys):
         assert "not allowed with argument" in err, argv
 
 
+def test_usage_errors_and_help_print_for_every_command(capsys):
+    # Each subcommand's usage line is formatted for --help and for its own errors.
+    for argv, message in (
+        (("gen", "--seed", "x"), "invalid int value"),
+        (("export-dot",), "the following arguments are required: REF"),
+        (("project", "ex1.scn"), "the following arguments are required: --agent"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith(f"usage: taskdec {argv[0]}") and message in err, argv
+    for name in (
+        "project", "compose", "bisim", "check-decomp", "check-failure",
+        "verify", "gen", "fuzz", "export-dot",
+    ):
+        rc, out, err = run(capsys, name, "--help")
+        assert (rc, err) == (0, ""), name
+        assert out.startswith(f"usage: taskdec {name}"), name
+
+
 def test_project_emits_a_reusable_block(capsys):
     rc, out, _ = run(capsys, "project", "ex1.scn", "--agent", "1")
     assert rc == 0
